@@ -1,6 +1,6 @@
-// Micro-benchmarks (google-benchmark): ZGEMM variants, FFT sizes, MTXEL,
-// GPP diag reference vs optimized, off-diag ZGEMM chain — the kernel-level
-// numbers behind the table/figure reproductions.
+// Micro-benchmarks (google-benchmark): ZGEMM variants, MTXEL, GPP diag
+// reference vs optimized, off-diag ZGEMM chain — the kernel-level numbers
+// behind the table/figure reproductions (FFT boxes: bench_fft).
 
 #include <benchmark/benchmark.h>
 
@@ -14,7 +14,6 @@
 #include "common/rng.h"
 #include "common/timer.h"
 #include "core/sigma.h"
-#include "fft/fft.h"
 #include "la/autotune.h"
 #include "la/gemm.h"
 #include "la/simd.h"
@@ -171,29 +170,6 @@ void BM_ZgemmSplitSpanned(benchmark::State& state) {
                           static_cast<std::int64_t>(8 * n * n * n));
 }
 BENCHMARK(BM_ZgemmSplitSpanned)->Arg(128);
-
-void BM_Fft1d(benchmark::State& state) {
-  const idx n = state.range(0);
-  Rng rng(3);
-  std::vector<cplx> x(static_cast<std::size_t>(n));
-  for (auto& v : x) v = rng.normal_cplx();
-  const auto plan = get_fft_plan(n);
-  for (auto _ : state) plan->transform(x.data(), FftDirection::kForward);
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_Fft1d)->Arg(64)->Arg(128)->Arg(243)->Arg(256)->Arg(500)->Arg(1024);
-
-void BM_Fft3d(benchmark::State& state) {
-  const idx n = state.range(0);
-  const FftBox box{n, n, n};
-  Rng rng(4);
-  std::vector<cplx> x(static_cast<std::size_t>(box.size()));
-  for (auto& v : x) v = rng.normal_cplx();
-  const Fft3d fft(box);
-  for (auto _ : state) fft.forward(x.data());
-  state.SetItemsProcessed(state.iterations() * box.size());
-}
-BENCHMARK(BM_Fft3d)->Arg(16)->Arg(24)->Arg(32);
 
 // Shared GW state for the kernel benchmarks (built once).
 struct GwState {

@@ -32,6 +32,8 @@ class PwHamiltonian {
   const GSphere& sphere() const { return sphere_; }
   idx n_pw() const { return sphere_.size(); }
   double cutoff() const { return sphere_.cutoff(); }
+  /// The alias-free V(G - G') box that apply() transforms on.
+  const FftBox& box() const { return box_; }
 
   /// Kinetic energy |G|^2 / 2 of basis vector ig (Hartree).
   double kinetic(idx ig) const { return 0.5 * sphere_.norm2(ig); }

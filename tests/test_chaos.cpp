@@ -15,6 +15,8 @@
 
 #include <sstream>
 
+#include <unistd.h>
+
 #include "cli/driver.h"
 #include "common/error.h"
 #include "mf/epm.h"
@@ -274,10 +276,14 @@ std::vector<serve::JobSpec> cas_chaos_jobs() {
 /// Fault-free serve reference (clean store, no hooks), computed once.
 const serve::BatchReport& serve_reference() {
   static const serve::BatchReport ref = [] {
+    // Fault-free, so the path may vary: a store per process keeps
+    // concurrently running ChaosServe tests from deleting each other's.
     serve::ServeOptions opt;
-    opt.store_dir = temp_dir("serve_ref");
+    opt.store_dir = temp_dir("serve_ref_" + std::to_string(::getpid()));
     std::ostringstream os;
-    return serve::run_batch(cas_chaos_jobs(), opt, os);
+    serve::BatchReport report = serve::run_batch(cas_chaos_jobs(), opt, os);
+    std::filesystem::remove_all(opt.store_dir);
+    return report;
   }();
   return ref;
 }
