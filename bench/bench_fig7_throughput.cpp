@@ -41,7 +41,7 @@ void measured_part(Suite& suite) {
   std::vector<double> e_grid;
   FlopCounter fc_off;
   sw.reset();
-  gw.sigma_offdiag(bands, 12, e_grid, GemmVariant::kParallel, &fc_off);
+  gw.sigma_offdiag(bands, 12, e_grid, &fc_off);
   const double t_off = sw.elapsed();
   const double f_off = static_cast<double>(fc_off.total());
 

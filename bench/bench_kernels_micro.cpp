@@ -46,32 +46,6 @@ void BM_ZgemmReference(benchmark::State& state) {
 }
 BENCHMARK(BM_ZgemmReference)->Arg(64)->Arg(128)->Arg(256);
 
-void BM_ZgemmBlocked(benchmark::State& state) {
-  const idx n = state.range(0);
-  const ZMatrix a = random_matrix(n, n, 1);
-  const ZMatrix b = random_matrix(n, n, 2);
-  ZMatrix c(n, n);
-  for (auto _ : state)
-    zgemm(Op::kNone, Op::kNone, cplx{1, 0}, a, b, cplx{}, c,
-          GemmVariant::kBlocked);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(8 * n * n * n));
-}
-BENCHMARK(BM_ZgemmBlocked)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
-
-void BM_ZgemmSplit(benchmark::State& state) {
-  const idx n = state.range(0);
-  const ZMatrix a = random_matrix(n, n, 1);
-  const ZMatrix b = random_matrix(n, n, 2);
-  ZMatrix c(n, n);
-  for (auto _ : state)
-    zgemm(Op::kNone, Op::kNone, cplx{1, 0}, a, b, cplx{}, c,
-          GemmVariant::kSplit);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(8 * n * n * n));
-}
-BENCHMARK(BM_ZgemmSplit)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
-
 void BM_ZgemmAuto(benchmark::State& state) {
   const idx n = state.range(0);
   const ZMatrix a = random_matrix(n, n, 1);
@@ -125,7 +99,7 @@ void BM_ZherkUpdate(benchmark::State& state) {
   ZMatrix c(n, n);
   for (auto _ : state) {
     c.fill(cplx{});
-    zherk_update(a, b, c, GemmVariant::kSplit);
+    zherk_update(a, b, c, GemmVariant::kSimd);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(4 * n * (n + 1) * n));
@@ -146,8 +120,8 @@ void BM_ZgemmParallel(benchmark::State& state) {
 BENCHMARK(BM_ZgemmParallel)->Arg(128)->Arg(256)->Arg(512);
 
 // Overhead of a disabled obs::Span: one relaxed atomic load + branch. The
-// acceptance bar is <1% on a real kernel — compare BM_ZgemmSplit/128
-// against BM_ZgemmSplitSpanned/128 (identical work, span per call).
+// acceptance bar is <1% on a real kernel — compare BM_ZgemmSimd/128
+// against BM_ZgemmSimdSpanned/128 (identical work, span per call).
 void BM_SpanDisabled(benchmark::State& state) {
   for (auto _ : state) {
     obs::Span span("bench_disabled", "bench");
@@ -156,7 +130,7 @@ void BM_SpanDisabled(benchmark::State& state) {
 }
 BENCHMARK(BM_SpanDisabled);
 
-void BM_ZgemmSplitSpanned(benchmark::State& state) {
+void BM_ZgemmSimdSpanned(benchmark::State& state) {
   const idx n = state.range(0);
   const ZMatrix a = random_matrix(n, n, 1);
   const ZMatrix b = random_matrix(n, n, 2);
@@ -164,12 +138,12 @@ void BM_ZgemmSplitSpanned(benchmark::State& state) {
   for (auto _ : state) {
     obs::Span span("bench_zgemm", "bench");
     zgemm(Op::kNone, Op::kNone, cplx{1, 0}, a, b, cplx{}, c,
-          GemmVariant::kSplit);
+          GemmVariant::kSimd);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(8 * n * n * n));
 }
-BENCHMARK(BM_ZgemmSplitSpanned)->Arg(128);
+BENCHMARK(BM_ZgemmSimdSpanned)->Arg(128);
 
 // Shared GW state for the kernel benchmarks (built once).
 struct GwState {
@@ -258,8 +232,6 @@ void emit_kernel_json() {
   };
   const VariantRow variants[] = {
       {GemmVariant::kReference, "reference", 128},
-      {GemmVariant::kBlocked, "blocked", 512},
-      {GemmVariant::kSplit, "split", 512},
       {GemmVariant::kSimd, "simd", 512},
       {GemmVariant::kParallel, "parallel", 512},
       {GemmVariant::kAuto, "auto", 512},
@@ -278,16 +250,16 @@ void emit_kernel_json() {
     ZMatrix c(n, n);
     const bench::TimingStats bare = bench::run_timed([&] {
       zgemm(Op::kNone, Op::kNone, cplx{1, 0}, a, b, cplx{}, c,
-            GemmVariant::kSplit);
+            GemmVariant::kSimd);
     });
     const bench::TimingStats spanned = bench::run_timed([&] {
       obs::Span span("bench_zgemm", "bench");
       zgemm(Op::kNone, Op::kNone, cplx{1, 0}, a, b, cplx{}, c,
-            GemmVariant::kSplit);
+            GemmVariant::kSimd);
     });
     const double overhead_pct =
         (spanned.median_s - bare.median_s) / bare.median_s * 100.0;
-    suite.series("span_overhead/zgemm_split/n=128")
+    suite.series("span_overhead/zgemm_simd/n=128")
         .value("bare_s", bare.median_s)
         .value("spanned_s", spanned.median_s)
         .value("overhead_pct", overhead_pct);
@@ -344,8 +316,9 @@ void emit_kernel_json() {
 
   // Batched small-GEMM (the MTXEL->chi Transf shape): 64 independent n x n
   // products sharing one B, vs the same work issued per call through the
-  // gen-2 split engine. Both sides carry full CI bounds so the gate can
-  // demand non-overlap, and the batch series records the median speedup.
+  // serial engine (zgemm kSimd). Both sides carry full CI bounds so the
+  // gate can demand non-overlap, and the batch series records the median
+  // speedup.
   for (idx n : {32, 64, 96, 128}) {
     constexpr int kBatch = 64;
     const ZMatrix b = random_matrix(n, n, 99);
@@ -368,7 +341,7 @@ void emit_kernel_json() {
       for (int i = 0; i < kBatch; ++i)
         zgemm(Op::kNone, Op::kNone, cplx{1, 0},
               as[static_cast<std::size_t>(i)], b, cplx{},
-              cs[static_cast<std::size_t>(i)], GemmVariant::kSplit);
+              cs[static_cast<std::size_t>(i)], GemmVariant::kSimd);
     });
     const double flops =
         static_cast<double>(kBatch) * flop_model::zgemm(n, n, n);
@@ -378,10 +351,10 @@ void emit_kernel_json() {
         .counter("n", static_cast<double>(n))
         .counter("batch", static_cast<double>(kBatch))
         .value("gflops", flops / tb.median_s / 1e9)
-        .value("speedup_vs_percall_split", speedup)
+        .value("speedup_vs_percall_simd", speedup)
         .info("isa", la::simd_isa_name(tuned.isa))
         .time(tb);
-    suite.series("zgemm_batch/percall_split/n=" + tag)
+    suite.series("zgemm_batch/percall_simd/n=" + tag)
         .counter("flops_per_call", flops)
         .counter("n", static_cast<double>(n))
         .value("gflops", flops / ts.median_s / 1e9)
@@ -389,10 +362,10 @@ void emit_kernel_json() {
     table.row({"zgemm_batch", "batch64", bench::fmt_int(n),
                bench::fmt(flops / tb.median_s / 1e9),
                bench::fmt_int(static_cast<long long>(tb.samples.size()))});
-    table.row({"zgemm_batch", "percall_split", bench::fmt_int(n),
+    table.row({"zgemm_batch", "percall_simd", bench::fmt_int(n),
                bench::fmt(flops / ts.median_s / 1e9),
                bench::fmt_int(static_cast<long long>(ts.samples.size()))});
-    std::printf("zgemm_batch(64 x %lld): %.2fx vs per-call split\n",
+    std::printf("zgemm_batch(64 x %lld): %.2fx vs per-call simd\n",
                 static_cast<long long>(n), speedup);
   }
 
@@ -402,21 +375,21 @@ void emit_kernel_json() {
     const ZMatrix a = random_matrix(n, n, 1);
     const ZMatrix b = random_matrix(n, n, 2);
     ZMatrix c(n, n);
-    const std::string point = "zherk:split:" + std::to_string(n);
+    const std::string point = "zherk:simd:" + std::to_string(n);
     obs::Span span(point.c_str(), "bench");
     const bench::TimingStats t = bench::run_timed([&] {
       c.fill(cplx{});
-      zherk_update(a, b, c, GemmVariant::kSplit);
+      zherk_update(a, b, c, GemmVariant::kSimd);
     });
     const double flops = flop_model::zherk(n, n);
     const double gflops = flops / t.median_s / 1e9;
-    suite.series("zherk/split/n=" + std::to_string(n))
+    suite.series("zherk/simd/n=" + std::to_string(n))
         .counter("flops_per_call", flops)
         .counter("n", static_cast<double>(n))
         .value("gflops", gflops)
-        .info("variant", "split")
+        .info("variant", "simd")
         .time(t);
-    table.row({"zherk", "split", bench::fmt_int(n), bench::fmt(gflops),
+    table.row({"zherk", "simd", bench::fmt_int(n), bench::fmt(gflops),
                bench::fmt_int(static_cast<long long>(t.samples.size()))});
   }
 
@@ -444,7 +417,7 @@ void emit_kernel_json() {
         .value("peak_fraction_n512",
                peak_gflops > 0.0 ? best512 / peak_gflops : 0.0);
     std::printf(
-        "gen-3 roofline [%s %dx%d kc=%lld]: measured FMA peak %.2f GFLOP/s, "
+        "engine roofline [%s %dx%d kc=%lld]: measured FMA peak %.2f GFLOP/s, "
         "best zgemm(512) %.2f GFLOP/s (%.0f%% of peak)\n",
         la::simd_isa_name(tuned.isa), tuned.mr, tuned.nr,
         static_cast<long long>(gemm_tiling().kc), peak_gflops, best512,

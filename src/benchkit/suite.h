@@ -30,7 +30,7 @@
 // }
 //
 // Series keys are the stable match keys of the compare gate: encode the
-// configuration ("zgemm/split/n=256"), never an index or a timestamp.
+// configuration ("zgemm/simd/n=256"), never an index or a timestamp.
 
 #include <string>
 #include <vector>

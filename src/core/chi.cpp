@@ -168,11 +168,10 @@ std::vector<ZMatrix> chi_multi(const Mtxel& mtxel, const Wavefunctions& wf,
         }
         if (opt.imaginary_axis || omega == 0.0) {
           zherk_update(m_block, scaled, chi[static_cast<std::size_t>(k)],
-                       opt.gemm, opt.flops);
+                       opt.flops);
         } else {
           zgemm(Op::kConjTrans, Op::kNone, cplx{1.0, 0.0}, m_block, scaled,
-                cplx{1.0, 0.0}, chi[static_cast<std::size_t>(k)], opt.gemm,
-                opt.flops);
+                cplx{1.0, 0.0}, chi[static_cast<std::size_t>(k)], opt.flops);
         }
       }
     }

@@ -39,7 +39,6 @@ double adler_wiser_delta_imag(double e_v, double e_c, double omega);
 struct ChiOptions {
   double eta = 1e-3;            ///< broadening (Hartree)
   idx nv_block = 8;             ///< NV-Block size (valence bands per block)
-  GemmVariant gemm = GemmVariant::kAuto;
   FlopCounter* flops = nullptr; ///< optional FLOP accounting
   /// q->0 head value to install (see chi_head_value). M(G=0) vanishes by
   /// orthogonality at Gamma, so without this the supercell has no

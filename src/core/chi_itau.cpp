@@ -96,7 +96,7 @@ std::vector<ZMatrix> chi_itau_multi(const Mtxel& mtxel, const Wavefunctions& wf,
           }
         }
         zherk_update(m_block, scaled, chi[static_cast<std::size_t>(k)],
-                     opt.gemm, opt.flops);
+                     opt.flops);
       };
 
       if (workers > 1 && tb > 1) {

@@ -38,7 +38,6 @@ namespace xgw {
 
 struct ChiItauOptions {
   idx nv_block = 8;             ///< NV-Block size (valence bands per block)
-  GemmVariant gemm = GemmVariant::kAuto;
   FlopCounter* flops = nullptr; ///< optional FLOP accounting
   int workers = 0;              ///< tau-task workers; <= 0: scheduler default
   idx tau_batch = 0;            ///< taus per pass; 0 = all in one pass

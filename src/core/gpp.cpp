@@ -296,8 +296,7 @@ void GppOffdiagKernel::build_p_matrix(double de, bool occupied,
 
 std::vector<ZMatrix> GppOffdiagKernel::compute(
     const std::vector<ZMatrix>& m_all, std::span<const double> band_energy,
-    idx n_valence, std::span<const double> e_grid, GemmVariant gemm,
-    FlopCounter* flops) const {
+    idx n_valence, std::span<const double> e_grid, FlopCounter* flops) const {
   const idx nb = static_cast<idx>(m_all.size());
   XGW_REQUIRE(nb >= 1, "GppOffdiagKernel: empty band set");
   XGW_REQUIRE(static_cast<idx>(band_energy.size()) == nb,
@@ -330,10 +329,9 @@ std::vector<ZMatrix> GppOffdiagKernel::compute(
       // Sigma_lm += sum_GG' conj(M_ln(G)) P_GG' M_mn(G'):
       //   T = conj(M) P           (N_Sigma x N_G x N_G)
       //   Sigma += T M^T          (N_Sigma x N_G x N_Sigma)
-      zgemm(Op::kNone, Op::kNone, cplx{1.0, 0.0}, mc, p, cplx{}, t, gemm,
-            flops);
+      zgemm(Op::kNone, Op::kNone, cplx{1.0, 0.0}, mc, p, cplx{}, t, flops);
       zgemm(Op::kNone, Op::kTrans, cplx{1.0, 0.0}, t, m_n, cplx{1.0, 0.0},
-            sigma[static_cast<std::size_t>(ie)], gemm, flops);
+            sigma[static_cast<std::size_t>(ie)], flops);
     }
   }
   return sigma;
@@ -342,8 +340,7 @@ std::vector<ZMatrix> GppOffdiagKernel::compute(
 std::vector<ZMatrix> GppOffdiagKernel::compute_perturbed(
     const std::vector<ZMatrix>& m_all, const std::vector<ZMatrix>& dm_all,
     std::span<const double> band_energy, idx n_valence,
-    std::span<const double> e_grid, GemmVariant gemm,
-    FlopCounter* flops) const {
+    std::span<const double> e_grid, FlopCounter* flops) const {
   const idx nb = static_cast<idx>(m_all.size());
   XGW_REQUIRE(nb >= 1 && dm_all.size() == m_all.size(),
               "compute_perturbed: M / dM band count mismatch");
@@ -387,9 +384,9 @@ std::vector<ZMatrix> GppOffdiagKernel::compute_perturbed(
       zgemm_batch(Op::kNone, Op::kNone, cplx{1.0, 0.0}, stage1, p, cplx{},
                   flops);
       zgemm(Op::kNone, Op::kTrans, cplx{1.0, 0.0}, t, m_n, cplx{1.0, 0.0},
-            out, gemm, flops);
+            out, flops);
       zgemm(Op::kNone, Op::kTrans, cplx{1.0, 0.0}, t2, dm_n, cplx{1.0, 0.0},
-            out, gemm, flops);
+            out, flops);
     }
   }
   return dsigma;

@@ -105,7 +105,6 @@ class GppOffdiagKernel {
   std::vector<ZMatrix> compute(const std::vector<ZMatrix>& m_all,
                                std::span<const double> band_energy,
                                idx n_valence, std::span<const double> e_grid,
-                               GemmVariant gemm = GemmVariant::kAuto,
                                FlopCounter* flops = nullptr) const;
 
   /// GWPT variant (Eq. 5): dSigma_lm(E_i) from the perturbed matrix
@@ -114,9 +113,7 @@ class GppOffdiagKernel {
   std::vector<ZMatrix> compute_perturbed(
       const std::vector<ZMatrix>& m_all, const std::vector<ZMatrix>& dm_all,
       std::span<const double> band_energy, idx n_valence,
-      std::span<const double> e_grid,
-      GemmVariant gemm = GemmVariant::kAuto,
-      FlopCounter* flops = nullptr) const;
+      std::span<const double> e_grid, FlopCounter* flops = nullptr) const;
 
   /// Prep step exposed for benchmarking: P^{(n,E)}_GG' (including v(G')).
   void build_p_matrix(double e_minus_en, bool occupied, ZMatrix& p) const;

@@ -344,7 +344,6 @@ std::vector<QpResult> GwCalculation::sigma_diag_checkpointed(
 std::vector<ZMatrix> GwCalculation::sigma_offdiag(const std::vector<idx>& bands,
                                                   idx n_e_points,
                                                   std::vector<double>& e_grid_out,
-                                                  GemmVariant gemm,
                                                   FlopCounter* flops) {
   XGW_REQUIRE(!bands.empty(), "sigma_offdiag: empty band set");
   XGW_REQUIRE(n_e_points >= 1, "sigma_offdiag: need energy grid points");
@@ -380,8 +379,7 @@ std::vector<ZMatrix> GwCalculation::sigma_offdiag(const std::vector<idx>& bands,
 
   const GppOffdiagKernel kernel(gpp(), coulomb_);
   obs::Span scope(timers_,"gpp_offdiag_kernel");
-  return kernel.compute(m_all, wf.energy, wf.n_valence, e_grid_out, gemm,
-                        flops);
+  return kernel.compute(m_all, wf.energy, wf.n_valence, e_grid_out, flops);
 }
 
 std::vector<double> GwCalculation::dyson_full_solve(const std::vector<idx>& bands,

@@ -160,7 +160,6 @@ class GwCalculation {
   std::vector<ZMatrix> sigma_offdiag(const std::vector<idx>& bands,
                                      idx n_e_points,
                                      std::vector<double>& e_grid_out,
-                                     GemmVariant gemm = GemmVariant::kAuto,
                                      FlopCounter* flops = nullptr);
 
   /// Full solution of Dyson's equation from the off-diagonal Sigma: builds

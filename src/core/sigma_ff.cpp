@@ -307,10 +307,8 @@ std::vector<ZMatrix> sigma_ff_offdiag(GwCalculation& gw,
       const ZMatrix& bvk = scr.bv.get(k);
       if (!sliced) {
         // Q^{nk} = conj(M_n) (B^k v) M_n^T  — two ZGEMMs, reused over E.
-        zgemm(Op::kNone, Op::kNone, cplx{1.0, 0.0}, mc, bvk, cplx{}, t,
-              GemmVariant::kAuto, flops);
-        zgemm(Op::kNone, Op::kTrans, cplx{1.0, 0.0}, t, m_n, cplx{}, q,
-              GemmVariant::kAuto, flops);
+        zgemm(Op::kNone, Op::kNone, cplx{1.0, 0.0}, mc, bvk, cplx{}, t, flops);
+        zgemm(Op::kNone, Op::kTrans, cplx{1.0, 0.0}, t, m_n, cplx{}, q, flops);
       } else {
         // Same contraction accumulated over G' column slices: bounds the
         // N_Sigma x N_G' scratch at the cost of a different summation
@@ -333,10 +331,9 @@ std::vector<ZMatrix> sigma_ff_offdiag(GwCalculation& gw,
             for (idx j = 0; j < wb; ++j) dst[j] = src[j];
           }
           zgemm(Op::kNone, Op::kNone, cplx{1.0, 0.0}, mc, bv_cols, cplx{}, t,
-                GemmVariant::kAuto, flops);
-          zgemm(Op::kNone, Op::kTrans, cplx{1.0, 0.0}, t, mn_cols,
-                g0 == 0 ? cplx{} : cplx{1.0, 0.0}, q, GemmVariant::kAuto,
                 flops);
+          zgemm(Op::kNone, Op::kTrans, cplx{1.0, 0.0}, t, mn_cols,
+                g0 == 0 ? cplx{} : cplx{1.0, 0.0}, q, flops);
         }
       }
 

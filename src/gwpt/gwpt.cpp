@@ -118,8 +118,7 @@ GwptResult GwptCalculation::run_perturbation(const Perturbation& p,
     obs::Span scope(gw_.timers(),"gwpt_gpp_kernel");
     const GppOffdiagKernel kernel(gw_.gpp(), gw_.coulomb());
     res.dsigma = kernel.compute_perturbed(m_all, dm_all, wf.energy,
-                                          wf.n_valence, res.e_grid, opt_.gemm,
-                                          flops);
+                                          wf.n_valence, res.e_grid, flops);
   }
 
   // g_GW at the middle grid energy.

@@ -23,7 +23,6 @@ namespace xgw {
 struct GwptOptions {
   idx n_e_points = 4;          ///< energy grid points for dSigma(E)
   double degen_tol = 1e-6;     ///< sum-over-states degeneracy exclusion
-  GemmVariant gemm = GemmVariant::kAuto;
 };
 
 /// Result for one perturbation p over the external band set.

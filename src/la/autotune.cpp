@@ -25,10 +25,10 @@ namespace {
 constexpr const char* kMagic = "xgw-autotune-v1";
 constexpr int kFormatVersion = 1;
 
-// Candidate cache tilings swept per register tile. MC stays at the gen-2
-// value (it bounds the per-thread A-pack and C-accumulator footprint the
-// memory planner already models); KC/NC trade B-panel L2 residency against
-// pack overhead.
+// Candidate cache tilings swept per register tile. MC is fixed at 64 (it
+// bounds the per-thread A-pack and C-accumulator footprint the memory
+// planner already models); KC/NC trade B-panel L2 residency against pack
+// overhead.
 constexpr idx kSweepKc[] = {128, 256};
 constexpr idx kSweepNc[] = {256, 512};
 constexpr idx kSweepMc = 64;

@@ -1,6 +1,6 @@
 #pragma once
 
-// Per-machine autotuning for the gen-3 GEMM engine.
+// Per-machine autotuning for the GEMM engine (la/gemm.h).
 //
 // On first use the engine (a) measures the single-core FMA peak at the
 // dispatched ISA width (la/microkernel.h probe), (b) sweeps the compiled
@@ -57,7 +57,7 @@ struct AutotuneOptions {
   idx sweep_n = 160;       ///< synthetic m=n=k problem size for the sweep
 };
 
-/// Static per-ISA defaults (first kernel candidate, gen-2 cache tiles);
+/// Static per-ISA defaults (first kernel candidate, 64/128/256 cache tiles);
 /// what XGW_AUTOTUNE=off uses and what damaged-probe paths fall back to.
 AutotuneResult default_autotune(SimdIsa isa);
 

@@ -1,6 +1,11 @@
 #include "la/gemm.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <span>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #ifdef _OPENMP
@@ -20,8 +25,6 @@ namespace {
 const char* variant_name(GemmVariant v) {
   switch (v) {
     case GemmVariant::kReference: return "reference";
-    case GemmVariant::kBlocked: return "blocked";
-    case GemmVariant::kSplit: return "split";
     case GemmVariant::kSimd: return "simd";
     case GemmVariant::kParallel: return "parallel";
     case GemmVariant::kAuto: return "auto";
@@ -70,24 +73,47 @@ inline cplx op_elem(Op op, const ZMatrix& a, idx i, idx j) {
   }
 }
 
+/// Complex product with its rounding pinned, for the reference loops and
+/// the zgemv update: re = fma(ur, vr, -ui*vi), im = fma(ur, vi, ui*vr).
+/// GCC fuses a*b +- c by default (-ffp-contract=fast) and where it fuses
+/// depends on inlining, so a plain std::complex product here can change
+/// bits when unrelated code in this file moves. The operand order at each
+/// call site keeps the rounding these sites have always had.
+inline cplx mul(cplx u, cplx v) {
+  return {std::fma(u.real(), v.real(), -(u.imag() * v.imag())),
+          std::fma(u.real(), v.imag(), u.imag() * v.real())};
+}
+
+/// The reference loop: C rows [c_row0, c_row0 + m) = alpha * op(A) op(B) +
+/// beta * C. beta == 0 overwrites C, so NaN/Inf already there never
+/// survives (0 * NaN would).
 void gemm_reference(Op opa, Op opb, cplx alpha, const ZMatrix& a,
-                    const ZMatrix& b, cplx beta, ZMatrix& c) {
+                    const ZMatrix& b, cplx beta, ZMatrix& c, idx c_row0 = 0) {
   const auto [m, k] = op_shape(opa, a);
   const idx n = op_shape(opb, b).second;
   for (idx i = 0; i < m; ++i) {
+    cplx* crow = c.row(c_row0 + i);
     for (idx j = 0; j < n; ++j) {
       cplx acc{};
       for (idx l = 0; l < k; ++l)
-        acc += op_elem(opa, a, i, l) * op_elem(opb, b, l, j);
-      c(i, j) = alpha * acc + beta * c(i, j);
+        acc += mul(op_elem(opa, a, i, l), op_elem(opb, b, l, j));
+      const cplx x = mul(acc, alpha);
+      crow[j] = beta == cplx{} ? x : x + mul(beta, crow[j]);
     }
   }
 }
 
-// Cache-tile sizes (complex doubles; MC*KC and KC*NC panels fit in L2).
-constexpr idx kMC = 64;
-constexpr idx kKC = 128;
-constexpr idx kNC = 256;
+/// C(upper) += A^H B, the reference for zherk_update.
+void herk_reference(const ZMatrix& a, const ZMatrix& b, ZMatrix& c) {
+  const idx p = a.rows();
+  const idx n = a.cols();
+  for (idx i = 0; i < n; ++i)
+    for (idx j = i; j < n; ++j) {
+      cplx acc{};
+      for (idx l = 0; l < p; ++l) acc += mul(b(l, j), std::conj(a(l, i)));
+      c(i, j) += acc;
+    }
+}
 
 // kAuto cutoffs, in m*n*k complex multiply-adds: below kAutoTiny the
 // packing overhead dominates and the reference loop wins; above
@@ -105,317 +131,46 @@ bool should_parallelize(bool requested, idx n_panels) {
   return xgw_num_threads() > 1;
 }
 
-/// beta-scale C up front so tiles can pure-accumulate.
-void scale_c(cplx beta, ZMatrix& c) {
+/// beta-scale C rows [r0, r0 + m) up front so engine tiles pure-accumulate.
+void scale_rows(cplx beta, ZMatrix& c, idx r0, idx m) {
+  cplx* p = c.data() + r0 * c.cols();
+  const idx len = m * c.cols();
   if (beta == cplx{0.0, 0.0}) {
-    c.fill(cplx{});
+    std::fill(p, p + len, cplx{});
   } else if (beta != cplx{1.0, 0.0}) {
-    cplx* p = c.data();
-    for (idx i = 0; i < c.size(); ++i) p[i] *= beta;
+    for (idx i = 0; i < len; ++i) p[i] *= beta;
   }
 }
 
-// Pack op(A)[i0:i0+mb, l0:l0+kb] row-major into buf.
-void pack_a(Op opa, const ZMatrix& a, idx i0, idx mb, idx l0, idx kb,
-            cplx* buf) {
-  if (opa == Op::kNone) {
-    for (idx i = 0; i < mb; ++i) {
-      const cplx* src = a.row(i0 + i) + l0;
-      cplx* dst = buf + i * kb;
-      for (idx l = 0; l < kb; ++l) dst[l] = src[l];
-    }
-  } else if (opa == Op::kTrans) {
-    for (idx i = 0; i < mb; ++i)
-      for (idx l = 0; l < kb; ++l) buf[i * kb + l] = a(l0 + l, i0 + i);
-  } else {
-    for (idx i = 0; i < mb; ++i)
-      for (idx l = 0; l < kb; ++l)
-        buf[i * kb + l] = std::conj(a(l0 + l, i0 + i));
-  }
+/// FLOP/byte attribution shared by every entry point.
+void account(std::uint64_t counted, std::uint64_t bytes, FlopCounter* flops) {
+  obs::attribute_flops(counted);
+  obs::attribute_bytes(bytes);
+  if (flops != nullptr) flops->add(counted);
 }
 
-// Pack op(B)[l0:l0+kb, j0:j0+nb] row-major into buf.
-void pack_b(Op opb, const ZMatrix& b, idx l0, idx kb, idx j0, idx nb,
-            cplx* buf) {
-  if (opb == Op::kNone) {
-    for (idx l = 0; l < kb; ++l) {
-      const cplx* src = b.row(l0 + l) + j0;
-      cplx* dst = buf + l * nb;
-      for (idx j = 0; j < nb; ++j) dst[j] = src[j];
-    }
-  } else if (opb == Op::kTrans) {
-    for (idx l = 0; l < kb; ++l)
-      for (idx j = 0; j < nb; ++j) buf[l * nb + j] = b(j0 + j, l0 + l);
-  } else {
-    for (idx l = 0; l < kb; ++l)
-      for (idx j = 0; j < nb; ++j)
-        buf[l * nb + j] = std::conj(b(j0 + j, l0 + l));
-  }
-}
-
-// Accumulator micro-kernel: Cacc[mb x nb] += Apack[mb x kb] * Bpack[kb x nb].
-// axpy (outer-product) ordering: the inner j loop runs over contiguous
-// memory in both Bpack and Cacc, which the compiler vectorizes; l is
-// unrolled by 2 to amortize the broadcast of a_il.
-void micro_kernel(const cplx* ap, const cplx* bp, cplx* cacc, idx mb, idx nb,
-                  idx kb) {
-  for (idx i = 0; i < mb; ++i) {
-    const cplx* arow = ap + i * kb;
-    cplx* crow = cacc + i * nb;
-    idx l = 0;
-    for (; l + 1 < kb; l += 2) {
-      const cplx a0 = arow[l];
-      const cplx a1 = arow[l + 1];
-      const cplx* b0 = bp + l * nb;
-      const cplx* b1 = bp + (l + 1) * nb;
-      for (idx j = 0; j < nb; ++j) crow[j] += a0 * b0[j] + a1 * b1[j];
-    }
-    for (; l < kb; ++l) {
-      const cplx a0 = arow[l];
-      const cplx* b0 = bp + l * nb;
-      for (idx j = 0; j < nb; ++j) crow[j] += a0 * b0[j];
-    }
-  }
-}
-
-void gemm_blocked(Op opa, Op opb, cplx alpha, const ZMatrix& a,
-                  const ZMatrix& b, cplx beta, ZMatrix& c, bool parallel) {
-  const auto [m, k] = op_shape(opa, a);
-  const idx n = op_shape(opb, b).second;
-  scale_c(beta, c);
-
-  const idx n_row_panels = (m + kMC - 1) / kMC;
-
-  auto process_panel = [&](idx panel, cplx* apack, cplx* bpack, cplx* cacc) {
-    const idx i0 = panel * kMC;
-    const idx mb = std::min(kMC, m - i0);
-    for (idx j0 = 0; j0 < n; j0 += kNC) {
-      const idx nb = std::min(kNC, n - j0);
-      std::fill(cacc, cacc + mb * nb, cplx{});
-      for (idx l0 = 0; l0 < k; l0 += kKC) {
-        const idx kb = std::min(kKC, k - l0);
-        pack_a(opa, a, i0, mb, l0, kb, apack);
-        pack_b(opb, b, l0, kb, j0, nb, bpack);
-        micro_kernel(apack, bpack, cacc, mb, nb, kb);
-      }
-      for (idx i = 0; i < mb; ++i) {
-        cplx* crow = c.row(i0 + i) + j0;
-        const cplx* arow = cacc + i * nb;
-        for (idx j = 0; j < nb; ++j) crow[j] += alpha * arow[j];
-      }
-    }
-  };
-
-  if (should_parallelize(parallel, n_row_panels)) {
-#ifdef _OPENMP
-#pragma omp parallel num_threads(xgw_num_threads())
-    {
-      std::vector<cplx> apack(static_cast<std::size_t>(kMC * kKC));
-      std::vector<cplx> bpack(static_cast<std::size_t>(kKC * kNC));
-      std::vector<cplx> cacc(static_cast<std::size_t>(kMC * kNC));
-#pragma omp for schedule(dynamic)
-      for (idx panel = 0; panel < n_row_panels; ++panel)
-        process_panel(panel, apack.data(), bpack.data(), cacc.data());
-    }
-#endif
-  } else {
-    std::vector<cplx> apack(static_cast<std::size_t>(kMC * kKC));
-    std::vector<cplx> bpack(static_cast<std::size_t>(kKC * kNC));
-    std::vector<cplx> cacc(static_cast<std::size_t>(kMC * kNC));
-    for (idx panel = 0; panel < n_row_panels; ++panel)
-      process_panel(panel, apack.data(), bpack.data(), cacc.data());
-  }
+void engine_span_args(obs::Span& span, const GemmV3Config& cfg) {
+  span.arg("isa", la::simd_isa_name(cfg.isa));
+  span.arg("mr", static_cast<long long>(cfg.mr));
+  span.arg("nr", static_cast<long long>(cfg.nr));
+  span.arg("kc", static_cast<long long>(cfg.kc));
+  span.arg("nc", static_cast<long long>(cfg.nc));
 }
 
 // ---------------------------------------------------------------------------
-// Split-complex (planar) engine — the CPU mapping of the paper's
-// restructured GPU kernels: operands are staged into separate re/im planes
-// (the "shared-memory tile" equivalent) so the micro-kernel runs four
-// independent real FMA streams with no complex-multiply shuffle traffic.
+// The engine (kSimd / kParallel / zgemm_batch / zgemm_v3_explicit): operands
+// are packed into zero-padded MR/NR strips of split-complex (re/im planar)
+// doubles and each C tile is computed by an explicit register-blocked
+// micro-kernel (la/microkernel.*) that keeps the tile FMA-resident across
+// the whole KC block. Kernel + tile sizes come from the GemmV3Config (cpuid
+// dispatch + disk-cached autotune).
 
-// Pack op(A)[i0:i0+mb, l0:l0+kb] into planar re/im buffers, row-major.
-void pack_a_split(Op opa, const ZMatrix& a, idx i0, idx mb, idx l0, idx kb,
-                  double* re, double* im) {
-  if (opa == Op::kNone) {
-    for (idx i = 0; i < mb; ++i) {
-      const cplx* src = a.row(i0 + i) + l0;
-      double* dr = re + i * kb;
-      double* di = im + i * kb;
-      for (idx l = 0; l < kb; ++l) {
-        dr[l] = src[l].real();
-        di[l] = src[l].imag();
-      }
-    }
-  } else {
-    const double s = (opa == Op::kConjTrans) ? -1.0 : 1.0;
-    for (idx i = 0; i < mb; ++i) {
-      double* dr = re + i * kb;
-      double* di = im + i * kb;
-      for (idx l = 0; l < kb; ++l) {
-        const cplx v = a(l0 + l, i0 + i);
-        dr[l] = v.real();
-        di[l] = s * v.imag();
-      }
-    }
-  }
-}
-
-// Pack ONE logical row l of op(B)[l0:l0+kb, j0:j0+nb] into the planar
-// panel; row granularity lets the parallel engine split the packing of the
-// shared B panel across the team.
-void pack_b_split_row(Op opb, const ZMatrix& b, idx l0, idx l, idx j0, idx nb,
-                      double* re, double* im) {
-  double* dr = re + l * nb;
-  double* di = im + l * nb;
-  if (opb == Op::kNone) {
-    const cplx* src = b.row(l0 + l) + j0;
-    for (idx j = 0; j < nb; ++j) {
-      dr[j] = src[j].real();
-      di[j] = src[j].imag();
-    }
-  } else {
-    const double s = (opb == Op::kConjTrans) ? -1.0 : 1.0;
-    for (idx j = 0; j < nb; ++j) {
-      const cplx v = b(j0 + j, l0 + l);
-      dr[j] = v.real();
-      di[j] = s * v.imag();
-    }
-  }
-}
-
-// Split-complex micro-kernel: Cacc += Apack * Bpack with the four real
-// product streams (rr, ii, ri, ir) as contiguous vectorizable loops:
-//   re += a_r b_r - a_i b_i;  im += a_r b_i + a_i b_r.
-// l is unrolled by 2 to amortize the scalar broadcasts.
-void micro_kernel_split(const double* ar, const double* ai, const double* br,
-                        const double* bi, double* cr, double* ci, idx mb,
-                        idx nb, idx kb) {
-  for (idx i = 0; i < mb; ++i) {
-    const double* arr = ar + i * kb;
-    const double* ari = ai + i * kb;
-    double* crr = cr + i * nb;
-    double* cri = ci + i * nb;
-    idx l = 0;
-    for (; l + 1 < kb; l += 2) {
-      const double a0r = arr[l], a0i = ari[l];
-      const double a1r = arr[l + 1], a1i = ari[l + 1];
-      const double* b0r = br + l * nb;
-      const double* b0i = bi + l * nb;
-      const double* b1r = br + (l + 1) * nb;
-      const double* b1i = bi + (l + 1) * nb;
-      for (idx j = 0; j < nb; ++j) {
-        crr[j] += a0r * b0r[j] - a0i * b0i[j] + a1r * b1r[j] - a1i * b1i[j];
-        cri[j] += a0r * b0i[j] + a0i * b0r[j] + a1r * b1i[j] + a1i * b1r[j];
-      }
-    }
-    for (; l < kb; ++l) {
-      const double a0r = arr[l], a0i = ari[l];
-      const double* b0r = br + l * nb;
-      const double* b0i = bi + l * nb;
-      for (idx j = 0; j < nb; ++j) {
-        crr[j] += a0r * b0r[j] - a0i * b0i[j];
-        cri[j] += a0r * b0i[j] + a0i * b0r[j];
-      }
-    }
-  }
-}
-
-/// Per-thread planar workspace of the split engine.
-struct SplitBuffers {
-  std::vector<double> are, aim, cre, cim;
-  SplitBuffers()
-      : are(static_cast<std::size_t>(kMC * kKC)),
-        aim(static_cast<std::size_t>(kMC * kKC)),
-        cre(static_cast<std::size_t>(kMC * kNC)),
-        cim(static_cast<std::size_t>(kMC * kNC)) {}
-};
-
-// Split-complex blocked engine. Loop order (l0, j0, i0): the packed-B panel
-// for one (l0, j0) is built ONCE and shared by every row panel — and, in
-// the parallel variant, by the whole OpenMP team — instead of being
-// re-packed per row panel as in gemm_blocked. Each (i0, j0) C tile receives
-// its k-blocks in fixed l0 order regardless of thread count, so serial and
-// parallel runs are bitwise identical.
-void gemm_split(Op opa, Op opb, cplx alpha, const ZMatrix& a, const ZMatrix& b,
-                cplx beta, ZMatrix& c, bool parallel) {
-  const auto [m, k] = op_shape(opa, a);
-  const idx n = op_shape(opb, b).second;
-  scale_c(beta, c);
-
-  const idx n_row_panels = (m + kMC - 1) / kMC;
-  std::vector<double> bre(static_cast<std::size_t>(kKC * kNC));
-  std::vector<double> bim(static_cast<std::size_t>(kKC * kNC));
-  const double alr = alpha.real(), ali = alpha.imag();
-
-  // One row panel against the current shared B panel.
-  auto panel_work = [&](idx panel, idx l0, idx kb, idx j0, idx nb,
-                        SplitBuffers& w) {
-    const idx i0 = panel * kMC;
-    const idx mb = std::min(kMC, m - i0);
-    pack_a_split(opa, a, i0, mb, l0, kb, w.are.data(), w.aim.data());
-    std::fill(w.cre.begin(), w.cre.begin() + mb * nb, 0.0);
-    std::fill(w.cim.begin(), w.cim.begin() + mb * nb, 0.0);
-    micro_kernel_split(w.are.data(), w.aim.data(), bre.data(), bim.data(),
-                       w.cre.data(), w.cim.data(), mb, nb, kb);
-    for (idx i = 0; i < mb; ++i) {
-      cplx* crow = c.row(i0 + i) + j0;
-      const double* rr = w.cre.data() + i * nb;
-      const double* ri = w.cim.data() + i * nb;
-      for (idx j = 0; j < nb; ++j)
-        crow[j] += cplx{alr * rr[j] - ali * ri[j], alr * ri[j] + ali * rr[j]};
-    }
-  };
-
-  if (should_parallelize(parallel, n_row_panels)) {
-#ifdef _OPENMP
-#pragma omp parallel num_threads(xgw_num_threads())
-    {
-      SplitBuffers w;
-      for (idx l0 = 0; l0 < k; l0 += kKC) {
-        const idx kb = std::min(kKC, k - l0);
-        for (idx j0 = 0; j0 < n; j0 += kNC) {
-          const idx nb = std::min(kNC, n - j0);
-#pragma omp for schedule(static)
-          for (idx l = 0; l < kb; ++l)
-            pack_b_split_row(opb, b, l0, l, j0, nb, bre.data(), bim.data());
-          // implicit barrier: the B panel is complete before any tile reads
-          // it, and (after the loop below) fully consumed before re-packing.
-#pragma omp for schedule(dynamic)
-          for (idx panel = 0; panel < n_row_panels; ++panel)
-            panel_work(panel, l0, kb, j0, nb, w);
-        }
-      }
-    }
-#endif
-  } else {
-    SplitBuffers w;
-    for (idx l0 = 0; l0 < k; l0 += kKC) {
-      const idx kb = std::min(kKC, k - l0);
-      for (idx j0 = 0; j0 < n; j0 += kNC) {
-        const idx nb = std::min(kNC, n - j0);
-        for (idx l = 0; l < kb; ++l)
-          pack_b_split_row(opb, b, l0, l, j0, nb, bre.data(), bim.data());
-        for (idx panel = 0; panel < n_row_panels; ++panel)
-          panel_work(panel, l0, kb, j0, nb, w);
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Gen-3 engine (kSimd / kParallel / zgemm_batch): planar layout as in gen-2,
-// but operands are packed into zero-padded MR/NR strips and each C tile is
-// computed by an explicit register-blocked micro-kernel
-// (la/microkernel.*) that keeps the tile FMA-resident across the whole KC
-// block instead of streaming the accumulator through memory. Kernel + tile
-// sizes come from the GemmV3Config (cpuid dispatch + disk-cached autotune).
-
-/// Per-thread strip-packed workspace of the gen-3 engine. Capacities are
-/// CLAMPED to the actual problem dimensions: a block never exceeds
-/// min(tile, dim), so small products (the GWPT/GPP perturbed chains, tiny
-/// batch members) allocate and zero only what one block can touch instead
-/// of the full autotuned-tile footprint. Clamping changes capacity only —
-/// block boundaries, loop order, and therefore results are untouched.
+/// Per-thread strip-packed workspace of the engine. Capacities are CLAMPED
+/// to the actual problem dimensions: a block never exceeds min(tile, dim),
+/// so small products (the GWPT/GPP perturbed chains, tiny batch members)
+/// allocate and zero only what one block can touch instead of the full
+/// autotuned-tile footprint. Clamping changes capacity only — block
+/// boundaries, loop order, and therefore results are untouched.
 struct V3Buffers {
   std::vector<double> are, aim, cre, cim;
   V3Buffers(const GemmV3Config& cfg, idx m, idx n, idx k)
@@ -435,17 +190,66 @@ struct V3Buffers {
   }
 };
 
-// One row panel of one output against the current shared B panel: pack the
-// A strips, run the micro-kernel over the tile grid (masked stores handle
-// the n edge; zero-padded strips handle the m/k edges), convert-add the
-// planar accumulator into interleaved C with alpha.
-void v3_panel_work(const GemmV3Config& cfg, la::MicroKernelFn kern, Op opa,
-                   const ZMatrix& a, ZMatrix& c, idx crow0, double alr,
-                   double ali, idx m, idx panel, idx l0, idx kb, idx j0,
-                   idx nb, const double* bre, const double* bim,
-                   V3Buffers& w) {
-  const idx i0 = panel * cfg.mc;
-  const idx mb = std::min(cfg.mc, m - i0);
+/// Runs `pair_work(p, l0, kb, j0, nb, bre, bim, w)` for every pair p and
+/// every (KC x NC) block of op(B), in the engine's loop order (l0, j0, p): the
+/// packed-B panel for one (l0, j0) is built ONCE and shared by every pair —
+/// and, in parallel, by the whole OpenMP team. Each C tile receives its
+/// k-blocks in fixed l0 order regardless of thread count, so serial and
+/// parallel runs are bitwise identical.
+template <class PairWork>
+void engine_loop(const GemmV3Config& cfg, Op opb, const ZMatrix& b, idx n,
+                 idx k, idx m_max, idx n_pairs, bool parallel,
+                 const PairWork& pair_work) {
+  std::vector<double> bre(V3Buffers::padded_b(cfg, n, k));
+  std::vector<double> bim(V3Buffers::padded_b(cfg, n, k));
+  auto pack_row = [&](idx l, idx l0, idx kb, idx j0, idx nb) {
+    la::pack_b_strips_row(opb, b, l0, l, j0, nb, cfg.nr, kb, bre.data(),
+                          bim.data());
+  };
+
+  // The serial copy of the loop nest stays free of OpenMP runtime calls:
+  // it is what every small product and every nested call runs.
+  if (should_parallelize(parallel, n_pairs)) {
+#ifdef _OPENMP
+#pragma omp parallel num_threads(xgw_num_threads())
+    {
+      V3Buffers w(cfg, m_max, n, k);
+      for (idx l0 = 0; l0 < k; l0 += cfg.kc) {
+        const idx kb = std::min(cfg.kc, k - l0);
+        for (idx j0 = 0; j0 < n; j0 += cfg.nc) {
+          const idx nb = std::min(cfg.nc, n - j0);
+#pragma omp for schedule(static)
+          for (idx l = 0; l < kb; ++l) pack_row(l, l0, kb, j0, nb);
+          // implicit barrier: the B panel is complete before any pair
+          // reads it, and fully consumed before the next re-pack.
+#pragma omp for schedule(dynamic)
+          for (idx p = 0; p < n_pairs; ++p)
+            pair_work(p, l0, kb, j0, nb, bre.data(), bim.data(), w);
+        }
+      }
+    }
+#endif
+  } else {
+    V3Buffers w(cfg, m_max, n, k);
+    for (idx l0 = 0; l0 < k; l0 += cfg.kc) {
+      const idx kb = std::min(cfg.kc, k - l0);
+      for (idx j0 = 0; j0 < n; j0 += cfg.nc) {
+        const idx nb = std::min(cfg.nc, n - j0);
+        for (idx l = 0; l < kb; ++l) pack_row(l, l0, kb, j0, nb);
+        for (idx p = 0; p < n_pairs; ++p)
+          pair_work(p, l0, kb, j0, nb, bre.data(), bim.data(), w);
+      }
+    }
+  }
+}
+
+/// The tile grid of one row panel against the current shared B panel:
+/// pack the A strips, then run the micro-kernel over every (s, t) tile
+/// (masked stores handle the n edge; zero-padded strips the m/k edges).
+/// The planar accumulator lands in w.cre / w.cim, row stride nb.
+void panel_tiles(const GemmV3Config& cfg, la::MicroKernelFn kern, Op opa,
+                 const ZMatrix& a, idx i0, idx mb, idx kb, idx l0, idx nb,
+                 const double* bre, const double* bim, V3Buffers& w) {
   la::pack_a_strips(opa, a, i0, mb, l0, kb, cfg.mr, w.are.data(),
                     w.aim.data());
   const idx smb = (mb + cfg.mr - 1) / cfg.mr;
@@ -462,236 +266,102 @@ void v3_panel_work(const GemmV3Config& cfg, la::MicroKernelFn kern, Op opa,
            w.cim.data() + (s * cfg.mr) * nb + t * cfg.nr, nb, mrem, nrem);
     }
   }
-  for (idx i = 0; i < mb; ++i) {
-    cplx* crow = c.row(crow0 + i0 + i) + j0;
-    const double* rr = w.cre.data() + i * nb;
-    const double* ri = w.cim.data() + i * nb;
-    for (idx j = 0; j < nb; ++j)
-      crow[j] += cplx{alr * rr[j] - ali * ri[j], alr * ri[j] + ali * rr[j]};
-  }
 }
 
-// Gen-3 blocked engine; same loop order and shared-B-panel teamwork as
-// gemm_split, so serial and parallel runs stay bitwise identical (every C
-// tile receives its k-blocks in fixed l0 order regardless of thread count).
-void gemm_v3(const GemmV3Config& cfg, Op opa, Op opb, cplx alpha,
-             const ZMatrix& a, const ZMatrix& b, cplx beta, ZMatrix& c,
-             bool parallel) {
+la::MicroKernelFn engine_kernel(const GemmV3Config& cfg) {
   la::MicroKernelFn kern = la::select_microkernel(cfg.isa, cfg.mr, cfg.nr);
   XGW_REQUIRE(kern != nullptr,
-              "gemm_v3: no compiled micro-kernel for this (isa, mr, nr)");
-  const auto [m, k] = op_shape(opa, a);
-  const idx n = op_shape(opb, b).second;
-  scale_c(beta, c);
+              "gemm engine: no compiled micro-kernel for this (isa, mr, nr)");
+  return kern;
+}
 
-  const idx n_row_panels = (m + cfg.mc - 1) / cfg.mc;
-  std::vector<double> bre(V3Buffers::padded_b(cfg, n, k));
-  std::vector<double> bim(V3Buffers::padded_b(cfg, n, k));
+/// The one GEMM driver: C_i = alpha * op(A_i) * op(B) + beta * C_i over
+/// `items` (zgemm and zgemm_v3_explicit are the one-item case). The
+/// parallel unit is the (item, row-panel) pair; each pair owns disjoint C
+/// rows.
+void engine_gemm(const GemmV3Config& cfg, Op opa, Op opb, cplx alpha,
+                 std::span<const GemmBatchItem> items, const ZMatrix& b,
+                 cplx beta, bool parallel) {
+  const la::MicroKernelFn kern = engine_kernel(cfg);
+  const auto [k, n] = op_shape(opb, b);
+
+  struct Pair {
+    const GemmBatchItem* item;
+    idx m, panel;
+  };
+  std::vector<Pair> pairs;
+  idx m_max = 0;
+  for (const GemmBatchItem& it : items) {
+    const idx mi = op_shape(opa, *it.a).first;
+    scale_rows(beta, *it.c, it.c_row0, mi);
+    m_max = std::max(m_max, mi);
+    for (idx p = 0; p * cfg.mc < mi; ++p) pairs.push_back({&it, mi, p});
+  }
   const double alr = alpha.real(), ali = alpha.imag();
 
-  if (should_parallelize(parallel, n_row_panels)) {
-#ifdef _OPENMP
-#pragma omp parallel num_threads(xgw_num_threads())
-    {
-      V3Buffers w(cfg, m, n, k);
-      for (idx l0 = 0; l0 < k; l0 += cfg.kc) {
-        const idx kb = std::min(cfg.kc, k - l0);
-        for (idx j0 = 0; j0 < n; j0 += cfg.nc) {
-          const idx nb = std::min(cfg.nc, n - j0);
-#pragma omp for schedule(static)
-          for (idx l = 0; l < kb; ++l)
-            la::pack_b_strips_row(opb, b, l0, l, j0, nb, cfg.nr, kb,
-                                  bre.data(), bim.data());
-          // implicit barrier: the B panel is complete before any tile reads
-          // it, and fully consumed before the next re-pack.
-#pragma omp for schedule(dynamic)
-          for (idx panel = 0; panel < n_row_panels; ++panel)
-            v3_panel_work(cfg, kern, opa, a, c, 0, alr, ali, m, panel, l0,
-                          kb, j0, nb, bre.data(), bim.data(), w);
+  engine_loop(
+      cfg, opb, b, n, k, m_max, static_cast<idx>(pairs.size()), parallel,
+      [&](idx p, idx l0, idx kb, idx j0, idx nb, const double* bre,
+          const double* bim, V3Buffers& w) {
+        const Pair& pr = pairs[static_cast<std::size_t>(p)];
+        const idx i0 = pr.panel * cfg.mc;
+        const idx mb = std::min(cfg.mc, pr.m - i0);
+        panel_tiles(cfg, kern, opa, *pr.item->a, i0, mb, kb, l0, nb, bre,
+                    bim, w);
+        // Convert-add the planar accumulator into interleaved C with alpha.
+        for (idx i = 0; i < mb; ++i) {
+          cplx* crow = pr.item->c->row(pr.item->c_row0 + i0 + i) + j0;
+          const double* rr = w.cre.data() + i * nb;
+          const double* ri = w.cim.data() + i * nb;
+          for (idx j = 0; j < nb; ++j)
+            crow[j] +=
+                cplx{alr * rr[j] - ali * ri[j], alr * ri[j] + ali * rr[j]};
         }
-      }
-    }
-#endif
-  } else {
-    V3Buffers w(cfg, m, n, k);
-    for (idx l0 = 0; l0 < k; l0 += cfg.kc) {
-      const idx kb = std::min(cfg.kc, k - l0);
-      for (idx j0 = 0; j0 < n; j0 += cfg.nc) {
-        const idx nb = std::min(cfg.nc, n - j0);
-        for (idx l = 0; l < kb; ++l)
-          la::pack_b_strips_row(opb, b, l0, l, j0, nb, cfg.nr, kb, bre.data(),
-                                bim.data());
-        for (idx panel = 0; panel < n_row_panels; ++panel)
-          v3_panel_work(cfg, kern, opa, a, c, 0, alr, ali, m, panel, l0, kb,
-                        j0, nb, bre.data(), bim.data(), w);
-      }
-    }
-  }
+      });
 }
 
-// Gen-3 Hermitian rank-k: C(upper) += A^H B, panels entirely below the
-// diagonal skipped, partial tiles masked at write-back (the micro-kernel
-// computes the full tile into the planar scratch; only the upper-triangle
-// part is added to C).
-void herk_v3(const GemmV3Config& cfg, const ZMatrix& a, const ZMatrix& b,
-             ZMatrix& c, bool parallel) {
-  la::MicroKernelFn kern = la::select_microkernel(cfg.isa, cfg.mr, cfg.nr);
-  XGW_REQUIRE(kern != nullptr,
-              "herk_v3: no compiled micro-kernel for this (isa, mr, nr)");
+/// Hermitian rank-k on the engine: C(upper) += A^H B, row panels of
+/// op(A) = A^H; tiles entirely below the diagonal are skipped and partial
+/// tiles are masked at write-back (the micro-kernel computes the full tile
+/// into the planar scratch; only the upper-triangle part is added to C).
+void engine_herk(const GemmV3Config& cfg, const ZMatrix& a, const ZMatrix& b,
+                 ZMatrix& c, bool parallel) {
+  const la::MicroKernelFn kern = engine_kernel(cfg);
   const idx p = a.rows();  // contraction length
   const idx n = a.cols();  // C dimension
-  const idx n_row_panels = (n + cfg.mc - 1) / cfg.mc;
 
-  std::vector<double> bre(V3Buffers::padded_b(cfg, n, p));
-  std::vector<double> bim(V3Buffers::padded_b(cfg, n, p));
-
-  auto panel_work = [&](idx panel, idx l0, idx kb, idx j0, idx nb,
-                        V3Buffers& w) {
-    const idx i0 = panel * cfg.mc;
-    if (j0 + nb <= i0) return;  // tile entirely below the diagonal
-    const idx mb = std::min(cfg.mc, n - i0);
-    la::pack_a_strips(Op::kConjTrans, a, i0, mb, l0, kb, cfg.mr,
-                      w.are.data(), w.aim.data());
-    const idx smb = (mb + cfg.mr - 1) / cfg.mr;
-    const idx snb = (nb + cfg.nr - 1) / cfg.nr;
-    for (idx t = 0; t < snb; ++t) {
-      const int nrem =
-          static_cast<int>(std::min<idx>(cfg.nr, nb - t * cfg.nr));
-      const double* btr = bre.data() + t * kb * cfg.nr;
-      const double* bti = bim.data() + t * kb * cfg.nr;
-      for (idx s = 0; s < smb; ++s) {
-        const int mrem =
-            static_cast<int>(std::min<idx>(cfg.mr, mb - s * cfg.mr));
-        kern(kb, w.are.data() + s * kb * cfg.mr,
-             w.aim.data() + s * kb * cfg.mr, btr, bti,
-             w.cre.data() + (s * cfg.mr) * nb + t * cfg.nr,
-             w.cim.data() + (s * cfg.mr) * nb + t * cfg.nr, nb, mrem, nrem);
-      }
-    }
-    for (idx i = 0; i < mb; ++i) {
-      // Upper triangle only: global column >= global row.
-      const idx jstart = std::max<idx>(0, (i0 + i) - j0);
-      cplx* crow = c.row(i0 + i) + j0;
-      const double* rr = w.cre.data() + i * nb;
-      const double* ri = w.cim.data() + i * nb;
-      for (idx j = jstart; j < nb; ++j) crow[j] += cplx{rr[j], ri[j]};
-    }
-  };
-
-  if (should_parallelize(parallel, n_row_panels)) {
-#ifdef _OPENMP
-#pragma omp parallel num_threads(xgw_num_threads())
-    {
-      V3Buffers w(cfg, n, n, p);
-      for (idx l0 = 0; l0 < p; l0 += cfg.kc) {
-        const idx kb = std::min(cfg.kc, p - l0);
-        for (idx j0 = 0; j0 < n; j0 += cfg.nc) {
-          const idx nb = std::min(cfg.nc, n - j0);
-#pragma omp for schedule(static)
-          for (idx l = 0; l < kb; ++l)
-            la::pack_b_strips_row(Op::kNone, b, l0, l, j0, nb, cfg.nr, kb,
-                                  bre.data(), bim.data());
-#pragma omp for schedule(dynamic)
-          for (idx panel = 0; panel < n_row_panels; ++panel)
-            panel_work(panel, l0, kb, j0, nb, w);
+  engine_loop(
+      cfg, Op::kNone, b, n, p, n, (n + cfg.mc - 1) / cfg.mc, parallel,
+      [&](idx panel, idx l0, idx kb, idx j0, idx nb, const double* bre,
+          const double* bim, V3Buffers& w) {
+        const idx i0 = panel * cfg.mc;
+        if (j0 + nb <= i0) return;  // tile entirely below the diagonal
+        const idx mb = std::min(cfg.mc, n - i0);
+        panel_tiles(cfg, kern, Op::kConjTrans, a, i0, mb, kb, l0, nb, bre,
+                    bim, w);
+        for (idx i = 0; i < mb; ++i) {
+          // Upper triangle only: global column >= global row.
+          const idx jstart = std::max<idx>(0, (i0 + i) - j0);
+          cplx* crow = c.row(i0 + i) + j0;
+          const double* rr = w.cre.data() + i * nb;
+          const double* ri = w.cim.data() + i * nb;
+          for (idx j = jstart; j < nb; ++j) crow[j] += cplx{rr[j], ri[j]};
         }
-      }
-    }
-#endif
-  } else {
-    V3Buffers w(cfg, n, n, p);
-    for (idx l0 = 0; l0 < p; l0 += cfg.kc) {
-      const idx kb = std::min(cfg.kc, p - l0);
-      for (idx j0 = 0; j0 < n; j0 += cfg.nc) {
-        const idx nb = std::min(cfg.nc, n - j0);
-        for (idx l = 0; l < kb; ++l)
-          la::pack_b_strips_row(Op::kNone, b, l0, l, j0, nb, cfg.nr, kb,
-                                bre.data(), bim.data());
-        for (idx panel = 0; panel < n_row_panels; ++panel)
-          panel_work(panel, l0, kb, j0, nb, w);
-      }
-    }
-  }
+      });
 }
 
-// Hermitian rank-k: C(upper) += A^H B with the split engine, panels
-// entirely below the diagonal skipped (the FLOP halving), partial tiles
-// masked at write-back. The mirror step runs afterwards in zherk_update.
-void herk_split(const ZMatrix& a, const ZMatrix& b, ZMatrix& c,
-                bool parallel) {
-  const idx p = a.rows();  // contraction length
-  const idx n = a.cols();  // C dimension
-  const idx n_row_panels = (n + kMC - 1) / kMC;
-
-  std::vector<double> bre(static_cast<std::size_t>(kKC * kNC));
-  std::vector<double> bim(static_cast<std::size_t>(kKC * kNC));
-
-  auto panel_work = [&](idx panel, idx l0, idx kb, idx j0, idx nb,
-                        SplitBuffers& w) {
-    const idx i0 = panel * kMC;
-    if (j0 + nb <= i0) return;  // tile entirely below the diagonal
-    const idx mb = std::min(kMC, n - i0);
-    pack_a_split(Op::kConjTrans, a, i0, mb, l0, kb, w.are.data(),
-                 w.aim.data());
-    std::fill(w.cre.begin(), w.cre.begin() + mb * nb, 0.0);
-    std::fill(w.cim.begin(), w.cim.begin() + mb * nb, 0.0);
-    micro_kernel_split(w.are.data(), w.aim.data(), bre.data(), bim.data(),
-                       w.cre.data(), w.cim.data(), mb, nb, kb);
-    for (idx i = 0; i < mb; ++i) {
-      // Upper triangle only: global column >= global row.
-      const idx jstart = std::max<idx>(0, (i0 + i) - j0);
-      cplx* crow = c.row(i0 + i) + j0;
-      const double* rr = w.cre.data() + i * nb;
-      const double* ri = w.cim.data() + i * nb;
-      for (idx j = jstart; j < nb; ++j) crow[j] += cplx{rr[j], ri[j]};
-    }
-  };
-
-  if (should_parallelize(parallel, n_row_panels)) {
-#ifdef _OPENMP
-#pragma omp parallel num_threads(xgw_num_threads())
-    {
-      SplitBuffers w;
-      for (idx l0 = 0; l0 < p; l0 += kKC) {
-        const idx kb = std::min(kKC, p - l0);
-        for (idx j0 = 0; j0 < n; j0 += kNC) {
-          const idx nb = std::min(kNC, n - j0);
-#pragma omp for schedule(static)
-          for (idx l = 0; l < kb; ++l)
-            pack_b_split_row(Op::kNone, b, l0, l, j0, nb, bre.data(),
-                             bim.data());
-#pragma omp for schedule(dynamic)
-          for (idx panel = 0; panel < n_row_panels; ++panel)
-            panel_work(panel, l0, kb, j0, nb, w);
-        }
-      }
-    }
-#endif
-  } else {
-    SplitBuffers w;
-    for (idx l0 = 0; l0 < p; l0 += kKC) {
-      const idx kb = std::min(kKC, p - l0);
-      for (idx j0 = 0; j0 < n; j0 += kNC) {
-        const idx nb = std::min(kNC, n - j0);
-        for (idx l = 0; l < kb; ++l)
-          pack_b_split_row(Op::kNone, b, l0, l, j0, nb, bre.data(),
-                           bim.data());
-        for (idx panel = 0; panel < n_row_panels; ++panel)
-          panel_work(panel, l0, kb, j0, nb, w);
-      }
-    }
-  }
-}
-
-void herk_reference(const ZMatrix& a, const ZMatrix& b, ZMatrix& c) {
-  const idx p = a.rows();
-  const idx n = a.cols();
-  for (idx i = 0; i < n; ++i)
-    for (idx j = i; j < n; ++j) {
-      cplx acc{};
-      for (idx l = 0; l < p; ++l) acc += std::conj(a(l, i)) * b(l, j);
-      c(i, j) += acc;
-    }
+/// Checks op(A) op(B) -> C shapes; returns (m, n, k).
+std::tuple<idx, idx, idx> gemm_shape(const char* who, Op opa, Op opb,
+                                     const ZMatrix& a, const ZMatrix& b,
+                                     const ZMatrix& c) {
+  const auto [m, ka] = op_shape(opa, a);
+  const auto [kb, n] = op_shape(opb, b);
+  XGW_REQUIRE(ka == kb, std::string(who) +
+                            ": inner dimensions of op(A), op(B) must match");
+  XGW_REQUIRE(c.rows() == m && c.cols() == n,
+              std::string(who) +
+                  ": C shape must be op(A).rows x op(B).cols");
+  return {m, n, ka};
 }
 
 }  // namespace
@@ -723,7 +393,7 @@ GemmVariant resolved_gemm_variant(GemmVariant requested, idx m, idx n,
   // Nested-call guard at the DISPATCH point (not only inside the kernel):
   // an explicit kParallel issued from inside an active parallel region, or
   // without an OpenMP team to spawn, runs (and is trace-attributed as) the
-  // serial gen-3 engine — the caller already owns the cores.
+  // serial engine — the caller already owns the cores.
   if (requested == GemmVariant::kParallel &&
       (in_parallel_region() || xgw_num_threads() <= 1))
     return GemmVariant::kSimd;
@@ -733,75 +403,43 @@ GemmVariant resolved_gemm_variant(GemmVariant requested, idx m, idx n,
 void zgemm_v3_explicit(const GemmV3Config& cfg, Op opa, Op opb, cplx alpha,
                        const ZMatrix& a, const ZMatrix& b, cplx beta,
                        ZMatrix& c, bool parallel) {
-  const auto [m, ka] = op_shape(opa, a);
-  const auto [kb, n] = op_shape(opb, b);
-  XGW_REQUIRE(ka == kb,
-              "zgemm_v3_explicit: inner dimensions of op(A), op(B) must "
-              "match");
-  XGW_REQUIRE(c.rows() == m && c.cols() == n,
-              "zgemm_v3_explicit: C shape must be op(A).rows x op(B).cols");
-  gemm_v3(cfg, opa, opb, alpha, a, b, beta, c, parallel);
+  gemm_shape("zgemm_v3_explicit", opa, opb, a, b, c);
+  const GemmBatchItem one{&a, &c};
+  engine_gemm(cfg, opa, opb, alpha, {&one, 1}, b, beta, parallel);
 }
 
 void zgemm(Op opa, Op opb, cplx alpha, const ZMatrix& a, const ZMatrix& b,
            cplx beta, ZMatrix& c, GemmVariant variant, FlopCounter* flops) {
-  const auto [m, ka] = op_shape(opa, a);
-  const auto [kb, n] = op_shape(opb, b);
-  XGW_REQUIRE(ka == kb, "zgemm: inner dimensions of op(A), op(B) must match");
-  XGW_REQUIRE(c.rows() == m && c.cols() == n,
-              "zgemm: C shape must be op(A).rows x op(B).cols");
-
-  variant = resolved_gemm_variant(variant, m, n, ka);
-  const bool v3 = variant == GemmVariant::kSimd ||
-                  variant == GemmVariant::kParallel;
-  const idx engine_mc = v3 ? gemm_v3_active_config().mc : kMC;
+  const auto [m, n, k] = gemm_shape("zgemm", opa, opb, a, b, c);
+  variant = resolved_gemm_variant(variant, m, n, k);
+  const bool engine = variant != GemmVariant::kReference;
 
   obs::Span span("zgemm", "la", obs::detail_level::kFine);
   if (span.active()) {
     span.arg("m", static_cast<long long>(m));
     span.arg("n", static_cast<long long>(n));
-    span.arg("k", static_cast<long long>(ka));
+    span.arg("k", static_cast<long long>(k));
     span.arg("variant", variant_name(variant));
-    // Packed-panel reuse: each of the m/MC row panels is repacked once per
-    // (KC x NC) B tile it meets, so this is the engine's A-reuse.
-    span.arg("row_panels",
-             static_cast<long long>((m + engine_mc - 1) / engine_mc));
-    if (v3) {
+    if (engine) {
       const GemmV3Config& cfg = gemm_v3_active_config();
-      span.arg("isa", la::simd_isa_name(cfg.isa));
-      span.arg("mr", static_cast<long long>(cfg.mr));
-      span.arg("nr", static_cast<long long>(cfg.nr));
-      span.arg("kc", static_cast<long long>(cfg.kc));
-      span.arg("nc", static_cast<long long>(cfg.nc));
+      // Packed-panel reuse: each of the m/MC row panels is repacked once
+      // per (KC x NC) B tile it meets, so this is the engine's A-reuse.
+      span.arg("row_panels",
+               static_cast<long long>((m + cfg.mc - 1) / cfg.mc));
+      engine_span_args(span, cfg);
     }
   }
 
-  switch (variant) {
-    case GemmVariant::kReference:
-      gemm_reference(opa, opb, alpha, a, b, beta, c);
-      break;
-    case GemmVariant::kBlocked:
-      gemm_blocked(opa, opb, alpha, a, b, beta, c, /*parallel=*/false);
-      break;
-    case GemmVariant::kSplit:
-      gemm_split(opa, opb, alpha, a, b, beta, c, /*parallel=*/false);
-      break;
-    case GemmVariant::kSimd:
-      gemm_v3(gemm_v3_active_config(), opa, opb, alpha, a, b, beta, c,
-              /*parallel=*/false);
-      break;
-    case GemmVariant::kParallel:
-    case GemmVariant::kAuto:  // unreachable: resolved above
-      gemm_v3(gemm_v3_active_config(), opa, opb, alpha, a, b, beta, c,
-              /*parallel=*/true);
-      break;
+  if (engine) {
+    const GemmBatchItem one{&a, &c};
+    engine_gemm(gemm_v3_active_config(), opa, opb, alpha, {&one, 1}, b, beta,
+                variant == GemmVariant::kParallel);
+  } else {
+    gemm_reference(opa, opb, alpha, a, b, beta, c);
   }
 
-  const auto counted = static_cast<std::uint64_t>(flop_model::zgemm(m, n, ka));
-  obs::attribute_flops(counted);
-  obs::attribute_bytes(16u * static_cast<std::uint64_t>(m * ka + ka * n +
-                                                        2 * m * n));
-  if (flops != nullptr) flops->add(counted);
+  account(static_cast<std::uint64_t>(flop_model::zgemm(m, n, k)),
+          16u * static_cast<std::uint64_t>(m * k + k * n + 2 * m * n), flops);
 }
 
 void zgemm_batch(Op opa, Op opb, cplx alpha,
@@ -811,6 +449,8 @@ void zgemm_batch(Op opa, Op opb, cplx alpha,
   const auto [k, n] = op_shape(opb, b);
 
   std::uint64_t counted = 0;
+  std::uint64_t bytes = 16u * static_cast<std::uint64_t>(k * n);  // B once
+  double batch_work = 0.0;
   for (const GemmBatchItem& it : items) {
     XGW_REQUIRE(it.a != nullptr && it.c != nullptr,
                 "zgemm_batch: null item operand");
@@ -822,155 +462,45 @@ void zgemm_batch(Op opa, Op opb, cplx alpha,
                 "zgemm_batch: C_i row window [c_row0, c_row0 + op(A_i).rows) "
                 "out of bounds or cols != op(B).cols");
     counted += static_cast<std::uint64_t>(flop_model::zgemm(mi, n, k));
+    bytes += 16u * static_cast<std::uint64_t>(mi * k + 2 * mi * n);
+    batch_work += static_cast<double>(mi) * static_cast<double>(n) *
+                  static_cast<double>(k);
   }
 
   // Tiny-batch dispatch mirrors kAuto's small-matrix cutoff: when the
   // AVERAGE item sits below the reference crossover, packing the shared B
   // panel and zeroing planar scratch cost more than they save (the GWPT
   // perturbed chain hits this with n_sigma x N_G blocks at toy N_G), so run
-  // the canonical loops instead. Results follow gemm_reference exactly and
-  // row windows are honoured; the path is serial, hence trivially
-  // thread-count-invariant.
-  double batch_work = 0.0;
-  for (const GemmBatchItem& it : items)
-    batch_work += static_cast<double>(op_shape(opa, *it.a).first) *
-                  static_cast<double>(n) * static_cast<double>(k);
-  if (batch_work <=
-      kAutoTiny * static_cast<double>(items.size())) {
-    obs::Span tiny_span("zgemm_batch", "la", obs::detail_level::kFine);
-    if (tiny_span.active()) {
-      tiny_span.arg("items", static_cast<long long>(items.size()));
-      tiny_span.arg("n", static_cast<long long>(n));
-      tiny_span.arg("k", static_cast<long long>(k));
-      tiny_span.arg("variant", "reference");
-    }
-    std::uint64_t tiny_bytes = 16u * static_cast<std::uint64_t>(k * n);
-    for (const GemmBatchItem& it : items) {
-      const idx mi = op_shape(opa, *it.a).first;
-      for (idx i = 0; i < mi; ++i) {
-        cplx* row = it.c->row(it.c_row0 + i);
-        for (idx j = 0; j < n; ++j) {
-          cplx acc{};
-          for (idx l = 0; l < k; ++l)
-            acc += op_elem(opa, *it.a, i, l) * op_elem(opb, b, l, j);
-          row[j] = alpha * acc + beta * row[j];
-        }
-      }
-      tiny_bytes += 16u * static_cast<std::uint64_t>(mi * k + 2 * mi * n);
-    }
-    obs::attribute_flops(counted);
-    obs::attribute_bytes(tiny_bytes);
-    if (flops != nullptr) flops->add(counted);
-    return;
-  }
-
-  const GemmV3Config& cfg = gemm_v3_active_config();
-  la::MicroKernelFn kern = la::select_microkernel(cfg.isa, cfg.mr, cfg.nr);
-  XGW_REQUIRE(kern != nullptr,
-              "zgemm_batch: no compiled micro-kernel for this (isa, mr, nr)");
-
-  // Flatten to (item, row-panel) pairs: the parallel unit. Each pair owns
-  // disjoint C rows, and the serial outer l0 loop fixes each C tile's
-  // accumulation order, so results are bitwise thread-count-invariant.
-  struct Pair {
-    int item;
-    idx panel;
-  };
-  std::vector<Pair> pairs;
-  std::uint64_t total_bytes = 0;
-  for (std::size_t ii = 0; ii < items.size(); ++ii) {
-    const auto [mi, ki] = op_shape(opa, *items[ii].a);
-    (void)ki;
-    const idx n_panels = (mi + cfg.mc - 1) / cfg.mc;
-    for (idx p = 0; p < n_panels; ++p)
-      pairs.push_back({static_cast<int>(ii), p});
-    total_bytes += 16u * static_cast<std::uint64_t>(mi * k + 2 * mi * n);
-  }
-  total_bytes += 16u * static_cast<std::uint64_t>(k * n);  // shared B, once
+  // the reference loop per item instead. Row windows are honoured; the
+  // path is serial, hence trivially thread-count-invariant.
+  const bool tiny =
+      batch_work <= kAutoTiny * static_cast<double>(items.size());
 
   obs::Span span("zgemm_batch", "la", obs::detail_level::kFine);
   if (span.active()) {
     span.arg("items", static_cast<long long>(items.size()));
     span.arg("n", static_cast<long long>(n));
     span.arg("k", static_cast<long long>(k));
-    span.arg("pairs", static_cast<long long>(pairs.size()));
-    span.arg("isa", la::simd_isa_name(cfg.isa));
-    span.arg("mr", static_cast<long long>(cfg.mr));
-    span.arg("nr", static_cast<long long>(cfg.nr));
-    span.arg("kc", static_cast<long long>(cfg.kc));
-    span.arg("nc", static_cast<long long>(cfg.nc));
-  }
-
-  // beta-scale each item's row window up front so tiles pure-accumulate.
-  for (const GemmBatchItem& it : items) {
-    if (beta == cplx{1.0, 0.0}) continue;
-    const idx mi = op_shape(opa, *it.a).first;
-    for (idx i = 0; i < mi; ++i) {
-      cplx* row = it.c->row(it.c_row0 + i);
-      if (beta == cplx{0.0, 0.0})
-        std::fill(row, row + n, cplx{});
-      else
-        for (idx j = 0; j < n; ++j) row[j] *= beta;
+    if (tiny) {
+      span.arg("variant", "reference");
+    } else {
+      const GemmV3Config& cfg = gemm_v3_active_config();
+      long long n_pairs = 0;
+      for (const GemmBatchItem& it : items)
+        n_pairs += (op_shape(opa, *it.a).first + cfg.mc - 1) / cfg.mc;
+      span.arg("pairs", n_pairs);
+      engine_span_args(span, cfg);
     }
   }
 
-  const idx n_pairs = static_cast<idx>(pairs.size());
-  idx m_max = 0;
-  for (const GemmBatchItem& it : items)
-    m_max = std::max(m_max, op_shape(opa, *it.a).first);
-  std::vector<double> bre(V3Buffers::padded_b(cfg, n, k));
-  std::vector<double> bim(V3Buffers::padded_b(cfg, n, k));
-  const double alr = alpha.real(), ali = alpha.imag();
-
-  auto pair_work = [&](const Pair& pr, idx l0, idx kb, idx j0, idx nb,
-                       V3Buffers& w) {
-    const ZMatrix& a = *items[static_cast<std::size_t>(pr.item)].a;
-    ZMatrix& c = *items[static_cast<std::size_t>(pr.item)].c;
-    const idx mi = op_shape(opa, a).first;
-    v3_panel_work(cfg, kern, opa, a, c,
-                  items[static_cast<std::size_t>(pr.item)].c_row0, alr, ali,
-                  mi, pr.panel, l0, kb, j0, nb, bre.data(), bim.data(), w);
-  };
-
-  if (should_parallelize(true, n_pairs)) {
-#ifdef _OPENMP
-#pragma omp parallel num_threads(xgw_num_threads())
-    {
-      V3Buffers w(cfg, m_max, n, k);
-      for (idx l0 = 0; l0 < k; l0 += cfg.kc) {
-        const idx kb = std::min(cfg.kc, k - l0);
-        for (idx j0 = 0; j0 < n; j0 += cfg.nc) {
-          const idx nb = std::min(cfg.nc, n - j0);
-#pragma omp for schedule(static)
-          for (idx l = 0; l < kb; ++l)
-            la::pack_b_strips_row(opb, b, l0, l, j0, nb, cfg.nr, kb,
-                                  bre.data(), bim.data());
-          // implicit barrier: B panel complete before any pair reads it.
-#pragma omp for schedule(dynamic)
-          for (idx p = 0; p < n_pairs; ++p)
-            pair_work(pairs[static_cast<std::size_t>(p)], l0, kb, j0, nb, w);
-        }
-      }
-    }
-#endif
+  if (tiny) {
+    for (const GemmBatchItem& it : items)
+      gemm_reference(opa, opb, alpha, *it.a, b, beta, *it.c, it.c_row0);
   } else {
-    V3Buffers w(cfg, m_max, n, k);
-    for (idx l0 = 0; l0 < k; l0 += cfg.kc) {
-      const idx kb = std::min(cfg.kc, k - l0);
-      for (idx j0 = 0; j0 < n; j0 += cfg.nc) {
-        const idx nb = std::min(cfg.nc, n - j0);
-        for (idx l = 0; l < kb; ++l)
-          la::pack_b_strips_row(opb, b, l0, l, j0, nb, cfg.nr, kb, bre.data(),
-                                bim.data());
-        for (idx p = 0; p < n_pairs; ++p)
-          pair_work(pairs[static_cast<std::size_t>(p)], l0, kb, j0, nb, w);
-      }
-    }
+    engine_gemm(gemm_v3_active_config(), opa, opb, alpha, items, b, beta,
+                /*parallel=*/true);
   }
-
-  obs::attribute_flops(counted);
-  obs::attribute_bytes(total_bytes);
-  if (flops != nullptr) flops->add(counted);
+  account(counted, bytes, flops);
 }
 
 void zherk_update(const ZMatrix& a, const ZMatrix& b, ZMatrix& c,
@@ -983,35 +513,26 @@ void zherk_update(const ZMatrix& a, const ZMatrix& b, ZMatrix& c,
               "zherk_update: C must be n x n");
 
   variant = resolved_gemm_variant(variant, n, n, p);
-  const bool v3 = variant == GemmVariant::kSimd ||
-                  variant == GemmVariant::kParallel;
-  const idx engine_mc = v3 ? gemm_v3_active_config().mc : kMC;
+  const bool engine = variant != GemmVariant::kReference;
 
   obs::Span span("zherk_update", "la", obs::detail_level::kFine);
   if (span.active()) {
     span.arg("n", static_cast<long long>(n));
     span.arg("k", static_cast<long long>(p));
     span.arg("variant", variant_name(variant));
-    span.arg("row_panels",
-             static_cast<long long>((n + engine_mc - 1) / engine_mc));
-    if (v3) {
+    if (engine) {
       const GemmV3Config& cfg = gemm_v3_active_config();
-      span.arg("isa", la::simd_isa_name(cfg.isa));
-      span.arg("mr", static_cast<long long>(cfg.mr));
-      span.arg("nr", static_cast<long long>(cfg.nr));
-      span.arg("kc", static_cast<long long>(cfg.kc));
-      span.arg("nc", static_cast<long long>(cfg.nc));
+      span.arg("row_panels",
+               static_cast<long long>((n + cfg.mc - 1) / cfg.mc));
+      engine_span_args(span, cfg);
     }
   }
 
-  if (variant == GemmVariant::kReference) {
+  if (engine)
+    engine_herk(gemm_v3_active_config(), a, b, c,
+                /*parallel=*/variant == GemmVariant::kParallel);
+  else
     herk_reference(a, b, c);
-  } else if (v3) {
-    herk_v3(gemm_v3_active_config(), a, b, c,
-            /*parallel=*/variant == GemmVariant::kParallel);
-  } else {
-    herk_split(a, b, c, /*parallel=*/false);
-  }
 
   // Mirror: the product is Hermitian by contract, so the lower triangle is
   // the conjugate of the accumulated upper one and the diagonal is real.
@@ -1020,11 +541,8 @@ void zherk_update(const ZMatrix& a, const ZMatrix& b, ZMatrix& c,
     for (idx j = i + 1; j < n; ++j) c(j, i) = std::conj(c(i, j));
   }
 
-  const auto counted = static_cast<std::uint64_t>(flop_model::zherk(n, p));
-  obs::attribute_flops(counted);
-  obs::attribute_bytes(16u *
-                       static_cast<std::uint64_t>(2 * p * n + 2 * n * n));
-  if (flops != nullptr) flops->add(counted);
+  account(static_cast<std::uint64_t>(flop_model::zherk(n, p)),
+          16u * static_cast<std::uint64_t>(2 * p * n + 2 * n * n), flops);
 }
 
 void zgemv(Op opa, cplx alpha, const ZMatrix& a, const std::vector<cplx>& x,
@@ -1045,7 +563,7 @@ void zgemv(Op opa, cplx alpha, const ZMatrix& a, const std::vector<cplx>& x,
       const cplx* arow = a.row(i);
       for (idx l = 0; l < k; ++l) acc += arow[l] * x[static_cast<std::size_t>(l)];
       y[static_cast<std::size_t>(i)] =
-          alpha * acc + beta * y[static_cast<std::size_t>(i)];
+          mul(acc, alpha) + mul(beta, y[static_cast<std::size_t>(i)]);
     };
     // Rows are independent: parallelize when the matrix is large enough to
     // amortize the team (m*k complex MACs, 8 FLOPs each).
@@ -1075,13 +593,11 @@ void zgemv(Op opa, cplx alpha, const ZMatrix& a, const std::vector<cplx>& x,
     }
     for (idx i = 0; i < m; ++i) {
       auto& yi = y[static_cast<std::size_t>(i)];
-      yi = alpha * acc[static_cast<std::size_t>(i)] + beta * yi;
+      yi = mul(alpha, acc[static_cast<std::size_t>(i)]) + mul(beta, yi);
     }
   }
-  const auto counted = static_cast<std::uint64_t>(flop_model::zgemv(m, k));
-  obs::attribute_flops(counted);
-  obs::attribute_bytes(16u * static_cast<std::uint64_t>(m * k + k + 2 * m));
-  if (flops != nullptr) flops->add(counted);
+  account(static_cast<std::uint64_t>(flop_model::zgemv(m, k)),
+          16u * static_cast<std::uint64_t>(m * k + k + 2 * m), flops);
 }
 
 }  // namespace xgw

@@ -4,28 +4,19 @@
 // updates, implemented from scratch.
 //
 // The paper's off-diagonal GPP kernel (Sec. 5.6) derives its performance from
-// recasting the self-energy contraction into ZGEMM calls, and its Tensile
-// study shows library-vs-tuned GEMM differences. xgw therefore ships multiple
-// ZGEMM implementations with the same restructurings the paper applies on
-// GPUs, mapped to CPU equivalents:
+// recasting the self-energy contraction into ZGEMM calls on one tuned engine
+// per platform. xgw has one engine plus a reference loop:
 //
 //   kReference  — canonical triple loop; correctness baseline.
-//   kBlocked    — cache-tiled with interleaved-complex operand packing
-//                 ("shared-memory staging" on GPU == pack-to-L1/L2 tiles on
-//                 CPU), axpy micro-kernel, unrolled; single-threaded.
-//   kSplit      — gen-2: cache-tiled with SPLIT-COMPLEX (planar) packing: A/B
-//                 tiles are unpacked into separate re/im planes so the inner
-//                 loop is four independent real FMA streams the compiler
-//                 auto-vectorizes; single-threaded.
-//   kSimd       — gen-3: the planar layout driven by explicit register-blocked
+//   kSimd       — the engine: operands packed into split-complex (re/im
+//                 planar) strips and driven by explicit register-blocked
 //                 SIMD micro-kernels (la/microkernel.*): an MR x NR tile of C
-//                 stays register-resident across each KC block instead of
-//                 streaming through memory. The kernel (AVX-512, AVX2, or
-//                 scalar) and the {MR, NR, KC, NC} tiling come from runtime
-//                 cpuid dispatch plus the disk-cached autotuner
-//                 (la/autotune.*); single-threaded.
-//   kParallel   — the gen-3 engine with OpenMP over row panels; the packed-B
-//                 panel is shared by the whole team and packed only once per
+//                 stays register-resident across each KC block. The kernel
+//                 (AVX-512, AVX2, or scalar) and the {MR, NR, KC, NC} tiling
+//                 come from runtime cpuid dispatch plus the disk-cached
+//                 autotuner (la/autotune.*); single-threaded.
+//   kParallel   — the engine with OpenMP over row panels; the packed-B panel
+//                 is shared by the whole team and packed only once per
 //                 (j0, l0) tile column. Requested from inside an active
 //                 parallel region (or without threads), it degrades to kSimd
 //                 AT THE DISPATCH POINT, so obs spans record the variant that
@@ -35,10 +26,14 @@
 //                 from inside an active parallel region (nested-call
 //                 safety), kParallel for large problems.
 //
-// All variants support op(A), op(B) in {none, transpose, conjugate-transpose}
+// zgemm on the engine is the one-item case of zgemm_batch's driver. All
+// variants support op(A), op(B) in {none, transpose, conjugate-transpose}
 // and are validated against each other by parameterized tests. kSimd and
 // kParallel are bitwise identical by construction (each C tile receives its
 // k-blocks in a fixed order regardless of thread count).
+//
+// Library code outside la/ calls the kAuto entry points; an explicit variant
+// is for tests and benches.
 
 #include "common/flops.h"
 #include "la/matrix.h"
@@ -50,8 +45,6 @@ enum class Op { kNone, kTrans, kConjTrans };
 
 enum class GemmVariant {
   kReference,
-  kBlocked,
-  kSplit,
   kSimd,
   kParallel,
   kAuto,
@@ -59,10 +52,18 @@ enum class GemmVariant {
 
 /// C = alpha * op(A) * op(B) + beta * C.
 /// Shapes: op(A) is m x k, op(B) is k x n, C is m x n (checked).
+/// beta == 0 overwrites C (NaN/Inf already in C does not survive).
 /// If `flops` is non-null the canonical 8*m*n*k count is added to it.
 void zgemm(Op opa, Op opb, cplx alpha, const ZMatrix& a, const ZMatrix& b,
            cplx beta, ZMatrix& c, GemmVariant variant = GemmVariant::kAuto,
            FlopCounter* flops = nullptr);
+
+/// zgemm with kAuto dispatch and FLOP accounting.
+inline void zgemm(Op opa, Op opb, cplx alpha, const ZMatrix& a,
+                  const ZMatrix& b, cplx beta, ZMatrix& c,
+                  FlopCounter* flops) {
+  zgemm(opa, opb, alpha, a, b, beta, c, GemmVariant::kAuto, flops);
+}
 
 /// One batch member of zgemm_batch: an independent A operand and its C
 /// output (both owned by the caller). The product lands in C rows
@@ -83,11 +84,13 @@ struct GemmBatchItem {
 /// panel is packed ONCE per (k-block, column-block) and reused by every
 /// item, and (item x row-panel) pairs are distributed across the OpenMP
 /// team. Items may have different m; they must share k = op(B).rows.
-/// Runs the gen-3 engine, except that batches whose AVERAGE item falls
-/// below the kAuto small-matrix cutoff use the serial reference loops
-/// (packing the shared panel would cost more than it saves). Either way
-/// results are bitwise identical for any thread count (each C tile
-/// accumulates its k-blocks in fixed order; the tiny path is serial).
+/// Runs the engine (zgemm's kSimd/kParallel is this driver with one item),
+/// except that batches whose AVERAGE item falls below the kAuto
+/// small-matrix cutoff run the reference loop per item (packing the shared
+/// panel would cost more than it saves). Either way results are bitwise
+/// identical for any thread count (each C tile accumulates its k-blocks in
+/// fixed order; the tiny path is serial), and a one-item batch equals
+/// zgemm(kSimd) bitwise.
 /// Counts the canonical sum_i 8*m_i*n*k FLOPs into `flops` if non-null.
 void zgemm_batch(Op opa, Op opb, cplx alpha,
                  const std::vector<GemmBatchItem>& items, const ZMatrix& b,
@@ -104,6 +107,12 @@ void zherk_update(const ZMatrix& a, const ZMatrix& b, ZMatrix& c,
                   GemmVariant variant = GemmVariant::kAuto,
                   FlopCounter* flops = nullptr);
 
+/// zherk_update with kAuto dispatch and FLOP accounting.
+inline void zherk_update(const ZMatrix& a, const ZMatrix& b, ZMatrix& c,
+                         FlopCounter* flops) {
+  zherk_update(a, b, c, GemmVariant::kAuto, flops);
+}
+
 /// y = alpha * op(A) * x + beta * y. The Op::kNone path parallelizes over
 /// rows for large m*k; `flops` (if non-null) accumulates 8*m*k.
 void zgemv(Op opa, cplx alpha, const ZMatrix& a, const std::vector<cplx>& x,
@@ -112,29 +121,29 @@ void zgemv(Op opa, cplx alpha, const ZMatrix& a, const std::vector<cplx>& x,
 /// Returns op(A) dimensions (rows, cols) for shape checking.
 std::pair<idx, idx> op_shape(Op op, const ZMatrix& a);
 
-/// Cache-tile sizes of the ACTIVE engine (MC x KC A panels, KC x NC B
-/// panels), exported for the roofline model in perf/. Reports the gen-3
-/// engine's autotuned tiling — i.e. gemm_v3_active_config() — so rooflines
-/// describe the tiles actually run on this machine (first call may trigger
-/// the autotune probe/sweep; see la/autotune.h).
+/// Cache-tile sizes of the engine (MC x KC A panels, KC x NC B panels),
+/// exported for the roofline model in perf/. Reports the autotuned tiling
+/// — i.e. gemm_v3_active_config() — so rooflines describe the tiles
+/// actually run on this machine (first call may trigger the autotune
+/// probe/sweep; see la/autotune.h).
 struct GemmTiling {
   idx mc, kc, nc;
 };
 GemmTiling gemm_tiling();
 
-/// Full gen-3 engine configuration: which micro-kernel (isa, mr, nr) and
-/// which cache tiling (mc, kc, nc) drive kSimd / kParallel / zgemm_batch.
+/// Full engine configuration: which micro-kernel (isa, mr, nr) and which
+/// cache tiling (mc, kc, nc) drive kSimd / kParallel / zgemm_batch.
 struct GemmV3Config {
   la::SimdIsa isa;
   int mr, nr;
   idx mc, kc, nc;
 };
 
-/// The process-wide gen-3 configuration: detected ISA + autotuned tiles
+/// The process-wide engine configuration: detected ISA + autotuned tiles
 /// (lazily resolved through la/autotune.* on first use; cached thereafter).
 const GemmV3Config& gemm_v3_active_config();
 
-/// Run the gen-3 engine under an EXPLICIT configuration, bypassing dispatch
+/// Run the engine under an EXPLICIT configuration, bypassing dispatch
 /// and autotuning. For the autotune sweep, parity tests, and benches; the
 /// (isa, mr, nr) kernel must exist (XGW_REQUIRE) and `cfg.isa` must be
 /// executable on the host (caller's responsibility — stay at or below

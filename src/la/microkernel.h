@@ -1,10 +1,10 @@
 #pragma once
 
-// Explicit SIMD micro-kernels for the third-generation GEMM engine.
+// Explicit SIMD micro-kernels for the GEMM engine (la/gemm.h).
 //
-// Gen-2 (GemmVariant::kSplit) streams its C accumulator tile through memory
-// on every k iteration and relies on compiler auto-vectorization.  Gen-3
-// keeps an MR x NR register tile of C resident across the whole KC-block
+// Rather than streaming a C accumulator tile through memory on every k
+// iteration and relying on compiler auto-vectorization, the engine keeps an
+// MR x NR register tile of C resident across the whole KC-block
 // contraction: each kernel call computes one tile of
 //
 //     Cacc[tile] = sum_l A_strip(l) (x) B_strip(l)

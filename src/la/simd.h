@@ -1,6 +1,6 @@
 #pragma once
 
-// Runtime CPU-feature detection for the third-generation GEMM engine.
+// Runtime CPU-feature detection for the GEMM engine (la/gemm.h).
 //
 // The library is built without -march assumptions (portable baseline); the
 // explicit AVX2 / AVX-512 micro-kernels in la/microkernel.* are compiled with

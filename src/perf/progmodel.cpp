@@ -108,7 +108,7 @@ KernelRoofline split_gemm_roofline(double peak_flops, double mem_bandwidth,
   const double flops = 8.0 * mc * nc * kd;
   // Main-memory traffic (bytes, 16 per complex double): A panel streamed,
   // packed-B panel amortized over b_reuse row panels, C tile read+written
-  // once per K block (the split engine's l0-outer accumulation).
+  // once per K block (the engine's l0-outer accumulation).
   const double bytes = 16.0 * (mc * kd + kd * nc / static_cast<double>(b_reuse) +
                                2.0 * mc * nc * k_blocks);
 

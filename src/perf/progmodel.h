@@ -42,12 +42,12 @@ double prog_model_factor(MachineKind machine, ProgModel model,
 /// The hardware-optimized model native to each machine.
 ProgModel native_model(MachineKind machine);
 
-/// Roofline entry for the CPU split-complex GEMM micro-kernel (the la/
-/// kSplit / kParallel engine): attainable FLOP rate = min(peak, AI * BW)
-/// with the arithmetic intensity computed from the engine's actual tile
-/// sizes — the CPU analogue of the paper's shared-memory-staged GPU GEMM,
-/// whose blocking exists precisely to push AI past the machine balance
-/// point.
+/// Roofline entry for the CPU split-complex GEMM engine (la/gemm.h kSimd /
+/// kParallel): attainable FLOP rate = min(peak, AI * BW) with the
+/// arithmetic intensity computed from the engine's actual tile sizes
+/// (gemm_tiling()) — the CPU analogue of the paper's shared-memory-staged
+/// GPU GEMM, whose blocking exists precisely to push AI past the machine
+/// balance point.
 struct KernelRoofline {
   double arithmetic_intensity;  ///< FLOPs per byte of main-memory traffic
   double attainable_flops;      ///< min(peak, AI * bandwidth), FLOP/s

@@ -7,7 +7,7 @@
 // worker" and "no scheduler" are indistinguishable.
 //
 // Cooperation with nested parallelism: each worker runs under a
-// WorkerTeamScope (common/concurrency.h), so the gen-3 GEMM dispatch point
+// WorkerTeamScope (common/concurrency.h), so the GEMM dispatch point
 // and the chi frequency team degrade to their serial-equivalent variants
 // instead of oversubscribing the host with W full OpenMP teams. Because
 // those variants are bitwise-identical by construction, this is purely a

@@ -106,22 +106,6 @@ TEST_F(ChiMultiFixture, BitwiseInvariantAcrossThreadCounts) {
 }
 #endif
 
-TEST_F(ChiMultiFixture, HermitianPathConsistentAcrossGemmVariants) {
-  // Static / imaginary-axis weights are real, so chi routes through
-  // zherk_update for every variant; the scalar reference triangle and the
-  // split-complex packed engine must agree to roundoff.
-  ChiOptions ref;
-  ref.imaginary_axis = true;
-  ref.gemm = GemmVariant::kReference;
-  ChiOptions par = ref;
-  par.gemm = GemmVariant::kParallel;
-  const std::vector<double> omegas{0.0, 0.4, 2.0};
-  const auto a = chi_multi(*mtxel, *wf, omegas, ref);
-  const auto b = chi_multi(*mtxel, *wf, omegas, par);
-  for (std::size_t k = 0; k < omegas.size(); ++k)
-    EXPECT_LT(max_abs_diff(a[k], b[k]), 1e-11) << "freq " << k;
-}
-
 TEST_F(ChiMultiFixture, PerFrequencyHeads) {
   const std::vector<double> omegas{0.0, 0.2};
   const std::vector<cplx> heads{cplx{-3.0, 0.0}, cplx{-1.0, 0.0}};

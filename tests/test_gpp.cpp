@@ -198,8 +198,7 @@ TEST(GppKernel, Eq8FlopAccounting) {
   const std::vector<double> e_grid{0.0, 0.2, 0.4};
   FlopCounter fc;
   const GppOffdiagKernel off(gw.gpp(), gw.coulomb());
-  off.compute(m_all, wf.energy, wf.n_valence, e_grid,
-              GemmVariant::kReference, &fc);
+  off.compute(m_all, wf.energy, wf.n_valence, e_grid, &fc);
 
   // The fused kernel executes ONE (T = conj(M) P; Sigma += T M^T) chain per
   // (n, E): standard-counted GEMM FLOPs are N_b N_E 8(N_S N_G^2 + N_G N_S^2)

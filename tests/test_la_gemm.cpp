@@ -1,6 +1,7 @@
 // Unit + property tests: ZGEMM variants and ZGEMV.
 //
-// The blocked and parallel GEMMs must agree with the reference triple loop
+// The cache-blocked engine (serial kSimd, team-parallel kParallel, and the
+// zgemm_batch driver they share) must agree with the reference triple loop
 // for every op combination and for shapes that exercise tile remainders —
 // these are the exact code paths the GPP off-diag kernel (Sec. 5.6) relies
 // on for its throughput.
@@ -8,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -46,33 +48,25 @@ TEST_P(GemmShapes, BlockedMatchesReferenceAllOps) {
       const ZMatrix b = (opb == Op::kNone) ? random_matrix(k, n, rng)
                                            : random_matrix(n, k, rng);
       ZMatrix c0 = random_matrix(m, n, rng);
-      ZMatrix c1 = c0, c2 = c0, c3 = c0, c4 = c0, c5 = c0;
+      ZMatrix c1 = c0, c2 = c0, c3 = c0;
 
       const cplx alpha{1.3, -0.4}, beta{0.2, 0.7};
       zgemm(opa, opb, alpha, a, b, beta, c0, GemmVariant::kReference);
-      zgemm(opa, opb, alpha, a, b, beta, c1, GemmVariant::kBlocked);
+      zgemm(opa, opb, alpha, a, b, beta, c1, GemmVariant::kSimd);
       zgemm(opa, opb, alpha, a, b, beta, c2, GemmVariant::kParallel);
-      zgemm(opa, opb, alpha, a, b, beta, c3, GemmVariant::kSplit);
-      zgemm(opa, opb, alpha, a, b, beta, c4, GemmVariant::kAuto);
-      zgemm(opa, opb, alpha, a, b, beta, c5, GemmVariant::kSimd);
+      zgemm(opa, opb, alpha, a, b, beta, c3, GemmVariant::kAuto);
 
       const double tol = 1e-11 * static_cast<double>(k + 1);
       EXPECT_LT(max_abs_diff(c0, c1), tol)
-          << "blocked mismatch at opa=" << static_cast<int>(opa)
-          << " opb=" << static_cast<int>(opb);
-      EXPECT_LT(max_abs_diff(c0, c2), tol) << "parallel mismatch";
-      EXPECT_LT(max_abs_diff(c0, c3), tol)
-          << "split mismatch at opa=" << static_cast<int>(opa)
-          << " opb=" << static_cast<int>(opb);
-      EXPECT_LT(max_abs_diff(c0, c4), tol) << "auto mismatch";
-      EXPECT_LT(max_abs_diff(c0, c5), tol)
           << "simd mismatch at opa=" << static_cast<int>(opa)
           << " opb=" << static_cast<int>(opb);
-      // Both run the gen-3 engine with a fixed k-block accumulation order
-      // per C tile, so the serial (kSimd) and team-parallel (kParallel)
-      // drivers must agree bitwise.
-      EXPECT_EQ(max_abs_diff(c2, c5), 0.0)
-          << "gen-3 serial/parallel not bitwise-equal";
+      EXPECT_LT(max_abs_diff(c0, c2), tol) << "parallel mismatch";
+      EXPECT_LT(max_abs_diff(c0, c3), tol) << "auto mismatch";
+      // Both run the engine with a fixed k-block accumulation order per C
+      // tile, so the serial (kSimd) and team-parallel (kParallel) drivers
+      // must agree bitwise.
+      EXPECT_EQ(max_abs_diff(c1, c2), 0.0)
+          << "engine serial/parallel not bitwise-equal";
     }
   }
 }
@@ -84,20 +78,45 @@ INSTANTIATE_TEST_SUITE_P(
                       Shape{70, 260, 140}, Shape{128, 1, 64},
                       Shape{1, 300, 5},
                       // K-block remainder tails and prime dims for the
-                      // split-complex packing paths.
+                      // strip-packing paths.
                       Shape{130, 70, 257}, Shape{31, 67, 131},
                       Shape{64, 256, 128}));
 
-TEST(Gemm, BetaZeroOverwritesNanFreeEvenFromGarbage) {
-  // beta = 0 must not propagate pre-existing NaN/Inf in C.
-  Rng rng(3);
-  const ZMatrix a = random_matrix(8, 8, rng);
-  const ZMatrix b = random_matrix(8, 8, rng);
-  ZMatrix c(8, 8, cplx{std::numeric_limits<double>::quiet_NaN(), 0.0});
-  zgemm(Op::kNone, Op::kNone, cplx{1.0, 0.0}, a, b, cplx{}, c,
-        GemmVariant::kBlocked);
+bool all_finite(const ZMatrix& c) {
   for (idx i = 0; i < c.size(); ++i)
-    EXPECT_TRUE(std::isfinite(c.data()[i].real()));
+    if (!std::isfinite(c.data()[i].real()) ||
+        !std::isfinite(c.data()[i].imag()))
+      return false;
+  return true;
+}
+
+TEST(Gemm, BetaZeroOverwritesNanFreeEvenFromGarbage) {
+  // beta = 0 must not propagate pre-existing NaN/Inf in C — on every
+  // variant (8^3 is below the kAuto cutoff, so kAuto takes the reference
+  // loop) and on both zgemm_batch paths.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const idx n : {8, 40}) {
+    Rng rng(3);
+    const ZMatrix a = random_matrix(n, n, rng);
+    const ZMatrix b = random_matrix(n, n, rng);
+    for (const GemmVariant v :
+         {GemmVariant::kReference, GemmVariant::kSimd, GemmVariant::kParallel,
+          GemmVariant::kAuto}) {
+      ZMatrix c(n, n, cplx{nan, nan});
+      zgemm(Op::kNone, Op::kNone, cplx{1.0, 0.0}, a, b, cplx{}, c, v);
+      EXPECT_TRUE(all_finite(c)) << "variant " << static_cast<int>(v)
+                                 << " n=" << n;
+    }
+    // n = 8 is a tiny batch (reference loop per item), n = 40 the engine;
+    // the garbage rows outside the window must stay untouched.
+    ZMatrix tall(n + 2, n, cplx{nan, nan});
+    const std::vector<GemmBatchItem> items{{&a, &tall, 1}};
+    zgemm_batch(Op::kNone, Op::kNone, cplx{1.0, 0.0}, items, b, cplx{});
+    for (idx i = 0; i < n + 2; ++i)
+      for (idx j = 0; j < n; ++j)
+        EXPECT_EQ(std::isfinite(tall(i, j).real()), i >= 1 && i <= n)
+            << "batch n=" << n << " at (" << i << "," << j << ")";
+  }
 }
 
 TEST(Gemm, ShapeMismatchThrows) {
@@ -115,7 +134,7 @@ TEST(Gemm, ConjTransEqualsManualAdjoint) {
   const ZMatrix b = random_matrix(6, 7, rng);
   ZMatrix c(9, 7), cref(9, 7);
   zgemm(Op::kConjTrans, Op::kNone, cplx{1, 0}, a, b, cplx{}, c,
-        GemmVariant::kBlocked);
+        GemmVariant::kSimd);
   const ZMatrix ah = adjoint(a);
   zgemm(Op::kNone, Op::kNone, cplx{1, 0}, ah, b, cplx{}, cref,
         GemmVariant::kReference);
@@ -156,27 +175,27 @@ TEST_P(ZherkShapes, MatchesZgemmAndIsHermitian) {
       c0(j, i) = std::conj(c0(i, j));
     }
   }
-  ZMatrix c1 = c0, c2 = c0;
-
-  ZMatrix c3 = c0, c4 = c0;
+  ZMatrix c1 = c0, c2 = c0, c3 = c0, c4 = c0;
   zgemm(Op::kConjTrans, Op::kNone, cplx{1, 0}, a, b, cplx{1, 0}, c0,
         GemmVariant::kReference);
-  zherk_update(a, b, c1, GemmVariant::kSplit);
+  zherk_update(a, b, c1, GemmVariant::kReference);
   zherk_update(a, b, c2, GemmVariant::kAuto);
   zherk_update(a, b, c3, GemmVariant::kSimd);
   zherk_update(a, b, c4, GemmVariant::kParallel);
 
   const double tol = 1e-11 * static_cast<double>(p + 1);
-  EXPECT_LT(max_abs_diff(c0, c1), tol) << "zherk(split) vs zgemm";
+  EXPECT_LT(max_abs_diff(c0, c1), tol) << "zherk(reference) vs zgemm";
   EXPECT_LT(max_abs_diff(c0, c2), tol) << "zherk(auto) vs zgemm";
   EXPECT_LT(max_abs_diff(c0, c3), tol) << "zherk(simd) vs zgemm";
   EXPECT_EQ(max_abs_diff(c3, c4), 0.0)
-      << "zherk gen-3 serial/parallel not bitwise-equal";
-  for (idx i = 0; i < n; ++i) {
-    EXPECT_EQ(c1(i, i).imag(), 0.0) << "diagonal must be exactly real";
-    for (idx j = i + 1; j < n; ++j)
-      EXPECT_EQ(c1(j, i), std::conj(c1(i, j)))
-          << "mirror must be exact at (" << i << "," << j << ")";
+      << "zherk engine serial/parallel not bitwise-equal";
+  for (const ZMatrix* c : {&c1, &c3}) {
+    for (idx i = 0; i < n; ++i) {
+      EXPECT_EQ((*c)(i, i).imag(), 0.0) << "diagonal must be exactly real";
+      for (idx j = i + 1; j < n; ++j)
+        EXPECT_EQ((*c)(j, i), std::conj((*c)(i, j)))
+            << "mirror must be exact at (" << i << "," << j << ")";
+    }
   }
 }
 
@@ -192,7 +211,7 @@ TEST(Zherk, FlopCounterUsesHermitianModel) {
   const ZMatrix b = a;
   ZMatrix c(10, 10);
   FlopCounter fc;
-  zherk_update(a, b, c, GemmVariant::kSplit, &fc);
+  zherk_update(a, b, c, GemmVariant::kSimd, &fc);
   EXPECT_EQ(fc.total(),
             static_cast<std::uint64_t>(flop_model::zherk(10, 12)));
 }
@@ -207,7 +226,7 @@ TEST(Zherk, ShapeMismatchThrows) {
 #ifdef _OPENMP
 TEST(Gemm, NestedCallInsideParallelRegionStaysCorrect) {
   // Each thread issues its own kParallel/kAuto GEMM; in_parallel_region()
-  // must degrade them to the serial split driver, not oversubscribe or race.
+  // must degrade them to the serial engine, not oversubscribe or race.
   Rng rng(59);
   const idx m = 40, n = 36, k = 70;
   const ZMatrix a = random_matrix(m, k, rng);
@@ -228,7 +247,7 @@ TEST(Gemm, NestedCallInsideParallelRegionStaysCorrect) {
 #endif
 
 // ---------------------------------------------------------------------------
-// Gen-3 engine: dispatch policy, micro-kernel parity, batched API.
+// The engine: dispatch policy, micro-kernel parity, batched API.
 
 // Every ISA level the host can actually execute, scalar first.
 std::vector<la::SimdIsa> reachable_isas() {
@@ -261,7 +280,7 @@ TEST(GemmDispatch, AutoNeverPicksParallelInsideParallelRegion) {
               GemmVariant::kParallel);
 
     // Inside an active region the SAME shapes must cross over to the serial
-    // gen-3 engine at the dispatch point — including an EXPLICIT kParallel
+    // engine at the dispatch point — including an EXPLICIT kParallel
     // request — so traces attribute the variant that actually ran.
 #pragma omp parallel num_threads(2)
     {
@@ -281,8 +300,8 @@ TEST(GemmDispatch, AutoNeverPicksParallelInsideParallelRegion) {
 #endif
 
   // Explicit serial variants are never rewritten.
-  EXPECT_EQ(resolved_gemm_variant(GemmVariant::kSplit, big, big, big),
-            GemmVariant::kSplit);
+  EXPECT_EQ(resolved_gemm_variant(GemmVariant::kReference, big, big, big),
+            GemmVariant::kReference);
   EXPECT_EQ(resolved_gemm_variant(GemmVariant::kSimd, 2, 2, 2),
             GemmVariant::kSimd);
 }
@@ -291,7 +310,7 @@ TEST(GemmDispatch, AutoNeverPicksParallelInsideParallelRegion) {
 TEST(GemmDispatch, NestedAutoAtShapeCrossoverMatchesReference) {
   // Regression for the nested-call shape crossover: shapes straddling the
   // parallel cutoff, issued from inside a parallel region, must all run
-  // correctly through the degraded (serial gen-3) path.
+  // correctly through the degraded (serial engine) path.
   Rng rng(61);
   const std::vector<Shape> shapes = {Shape{16, 16, 16}, Shape{48, 48, 48},
                                      Shape{64, 64, 65}, Shape{80, 90, 100}};
@@ -484,6 +503,90 @@ TEST(ZgemmBatch, RowWindowsIntoSharedTallCMatchTightC) {
         EXPECT_EQ(tall(i * mi + r, j),
                   tight[static_cast<std::size_t>(i)](r, j))
             << "window " << i << " row " << r;
+}
+
+bool bitwise_equal(const ZMatrix& x, const ZMatrix& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data(), y.data(),
+                     static_cast<std::size_t>(x.size()) * sizeof(cplx)) == 0;
+}
+
+TEST(ZgemmBatch, TinyPathMatchesPerItemReferenceBitwise) {
+  // Average item work far below the kAuto cutoff: the batch runs the
+  // reference loop per item, writing row windows of one tall C with gap
+  // rows between them that must stay untouched.
+  const idx n = 6, k = 5;
+  const std::vector<idx> ms = {3, 7, 1, 4};
+  const cplx alpha{0.9, -0.3};
+  for (Op opa : {Op::kNone, Op::kTrans, Op::kConjTrans}) {
+    for (Op opb : {Op::kNone, Op::kTrans, Op::kConjTrans}) {
+      for (const cplx beta : {cplx{}, cplx{1.0, 0.0}, cplx{0.4, -0.8}}) {
+        Rng rng(401 + static_cast<std::uint64_t>(opa) * 3 +
+                static_cast<std::uint64_t>(opb));
+        const ZMatrix b = (opb == Op::kNone) ? random_matrix(k, n, rng)
+                                             : random_matrix(n, k, rng);
+        std::vector<ZMatrix> as;
+        std::vector<idx> row0;
+        idx rows = 1;  // gap row 0
+        for (const idx m : ms) {
+          as.push_back((opa == Op::kNone) ? random_matrix(m, k, rng)
+                                          : random_matrix(k, m, rng));
+          row0.push_back(rows);
+          rows += m + 1;  // one gap row after every window
+        }
+        const ZMatrix init = random_matrix(rows, n, rng);
+        ZMatrix tall = init;
+        std::vector<GemmBatchItem> items;
+        for (std::size_t i = 0; i < ms.size(); ++i)
+          items.push_back({&as[i], &tall, row0[i]});
+        zgemm_batch(opa, opb, alpha, items, b, beta);
+
+        ZMatrix want = init;
+        for (std::size_t i = 0; i < ms.size(); ++i) {
+          ZMatrix c(ms[i], n);
+          for (idx r = 0; r < ms[i]; ++r)
+            for (idx j = 0; j < n; ++j) c(r, j) = init(row0[i] + r, j);
+          zgemm(opa, opb, alpha, as[i], b, beta, c, GemmVariant::kReference);
+          for (idx r = 0; r < ms[i]; ++r)
+            for (idx j = 0; j < n; ++j) want(row0[i] + r, j) = c(r, j);
+        }
+        EXPECT_TRUE(bitwise_equal(tall, want))
+            << "opa=" << static_cast<int>(opa)
+            << " opb=" << static_cast<int>(opb) << " beta=" << beta;
+      }
+    }
+  }
+}
+
+TEST(ZgemmBatch, OneItemEqualsZgemmEngineBitwiseForEveryBeta) {
+  // zgemm on the engine IS the one-item batch, so the two must agree to
+  // the bit — including the beta pre-scaling of C.
+  const idx m = 40, n = 48, k = 56;
+  const cplx alpha{1.1, 0.4};
+  for (Op opa : {Op::kNone, Op::kTrans, Op::kConjTrans}) {
+    for (Op opb : {Op::kNone, Op::kTrans, Op::kConjTrans}) {
+      Rng rng(409 + static_cast<std::uint64_t>(opa) * 3 +
+              static_cast<std::uint64_t>(opb));
+      const ZMatrix a = (opa == Op::kNone) ? random_matrix(m, k, rng)
+                                           : random_matrix(k, m, rng);
+      const ZMatrix b = (opb == Op::kNone) ? random_matrix(k, n, rng)
+                                           : random_matrix(n, k, rng);
+      const ZMatrix init = random_matrix(m, n, rng);
+      for (const cplx beta : {cplx{}, cplx{1.0, 0.0}, cplx{0.2, 0.7}}) {
+        ZMatrix cb = init, cs = init, cp = init;
+        const std::vector<GemmBatchItem> one{{&a, &cb}};
+        zgemm_batch(opa, opb, alpha, one, b, beta);
+        zgemm(opa, opb, alpha, a, b, beta, cs, GemmVariant::kSimd);
+        zgemm(opa, opb, alpha, a, b, beta, cp, GemmVariant::kParallel);
+        EXPECT_TRUE(bitwise_equal(cb, cs))
+            << "batch vs simd, opa=" << static_cast<int>(opa)
+            << " opb=" << static_cast<int>(opb) << " beta=" << beta;
+        EXPECT_TRUE(bitwise_equal(cb, cp))
+            << "batch vs parallel, opa=" << static_cast<int>(opa)
+            << " opb=" << static_cast<int>(opb) << " beta=" << beta;
+      }
+    }
+  }
 }
 
 #ifdef _OPENMP

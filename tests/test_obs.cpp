@@ -236,8 +236,8 @@ TEST(ObsSpan, FlopAttributionMatchesLegacyCounterExactly) {
     const ZMatrix b = random_matrix(n, n, 2);
     ZMatrix c(n, n);
     zgemm(Op::kNone, Op::kNone, cplx{1, 0}, a, b, cplx{}, c,
-          GemmVariant::kSplit, &fc);
-    zherk_update(a, b, c, GemmVariant::kSplit, &fc);
+          GemmVariant::kSimd, &fc);
+    zherk_update(a, b, c, GemmVariant::kSimd, &fc);
     std::vector<cplx> x(static_cast<std::size_t>(n), cplx{1.0, 0.0});
     std::vector<cplx> y(static_cast<std::size_t>(n), cplx{});
     zgemv(Op::kNone, cplx{1, 0}, a, x, cplx{}, y, &fc);
