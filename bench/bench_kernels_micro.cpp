@@ -1,13 +1,19 @@
 // Micro-benchmarks (google-benchmark): ZGEMM variants, MTXEL, GPP diag
-// reference vs optimized, off-diag ZGEMM chain — the kernel-level numbers
-// behind the table/figure reproductions (FFT boxes: bench_fft).
+// reference vs optimized, off-diag ZGEMM chain, the dense eigensolver —
+// the kernel-level numbers behind the table/figure reproductions (FFT
+// boxes: bench_fft).
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include <map>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "bench_util.h"
 #include "common/flops.h"
@@ -15,10 +21,13 @@
 #include "common/timer.h"
 #include "core/sigma.h"
 #include "la/autotune.h"
+#include "la/eig.h"
 #include "la/gemm.h"
 #include "la/simd.h"
 #include "mf/epm.h"
+#include "mf/hamiltonian.h"
 #include "mf/solver.h"
+#include "obs/report.h"
 #include "obs/span.h"
 #include "obs/trace.h"
 #include "perf/progmodel.h"
@@ -31,6 +40,25 @@ ZMatrix random_matrix(idx r, idx c, std::uint64_t seed) {
   ZMatrix m(r, c);
   for (idx i = 0; i < m.size(); ++i) m.data()[i] = rng.normal_cplx();
   return m;
+}
+
+ZMatrix random_hermitian(idx n, std::uint64_t seed) {
+  const ZMatrix m = random_matrix(n, n, seed);
+  ZMatrix h(n, n);
+  for (idx i = 0; i < n; ++i)
+    for (idx j = 0; j < n; ++j) h(i, j) = 0.5 * (m(i, j) + std::conj(m(j, i)));
+  return h;
+}
+
+// Low 32 bits of the FNV-1a hash of the output bits (eigenvalues, then
+// eigenvectors): exact as a double, so the counter gate catches any
+// rounding drift.
+double heev_bits_lo32(const EigResult& r) {
+  std::string bytes(reinterpret_cast<const char*>(r.values.data()),
+                    r.values.size() * sizeof(double));
+  bytes.append(reinterpret_cast<const char*>(r.vectors.data()),
+               static_cast<std::size_t>(r.vectors.size()) * sizeof(cplx));
+  return static_cast<double>(obs::fnv1a(bytes) & 0xffffffffULL);
 }
 
 void BM_ZgemmReference(benchmark::State& state) {
@@ -391,6 +419,44 @@ void emit_kernel_json() {
         .time(t);
     table.row({"zherk", "simd", bench::fmt_int(n), bench::fmt(gflops),
                bench::fmt_int(static_cast<long long>(t.samples.size()))});
+  }
+
+  // Dense Hermitian eigensolver, the mean-field diagonalization: the Si16
+  // Hamiltonian (N_G^psi = 459) and two random sizes. Exact counters: n
+  // and the output-bit hash. Time at xgw_num_threads() and, as a value, at
+  // one OpenMP thread; both advisory.
+  {
+    struct HeevCase {
+      std::string key;
+      ZMatrix a;
+    };
+    std::vector<HeevCase> cases;
+    cases.push_back(
+        {"heev/si16/n=459", PwHamiltonian(EpmModel::silicon(2)).dense()});
+    for (idx n : {128, 256})
+      cases.push_back({"heev/random/n=" + std::to_string(n),
+                       random_hermitian(n, 40 + static_cast<std::uint64_t>(n))});
+    for (const HeevCase& hc : cases) {
+      EigResult r;
+      const bench::TimingStats t = bench::run_timed([&] { r = heev(hc.a); });
+#ifdef _OPENMP
+      const int saved = omp_get_max_threads();
+      omp_set_num_threads(1);
+#endif
+      const bench::TimingStats t1 = bench::run_timed([&] { r = heev(hc.a); });
+#ifdef _OPENMP
+      omp_set_num_threads(saved);
+#endif
+      suite.series(hc.key)
+          .counter("n", static_cast<double>(hc.a.rows()))
+          .counter("bits_lo32", heev_bits_lo32(r))
+          .value("threads", static_cast<double>(xgw_num_threads()))
+          .value("serial_s", t1.median_s)
+          .value("speedup", t1.median_s / t.median_s)
+          .time(t);
+      std::printf("%s: %.4f s at %d threads, %.4f s at 1\n", hc.key.c_str(),
+                  t.median_s, xgw_num_threads(), t1.median_s);
+    }
   }
 
   obs::recorder().disable();

@@ -29,10 +29,12 @@ GwCalculation::GwCalculation(const EpmModel& model, const GwParameters& params)
 const Wavefunctions& GwCalculation::wavefunctions() const {
   if (!wf_) {
     obs::Span scope(timers_,"parabands(dense)");
-    wf_ = solve_dense(ham_, params_.n_bands);
-    XGW_REQUIRE(wf_->n_valence >= 1, "GwCalculation: no occupied bands");
-    XGW_REQUIRE(wf_->n_conduction() >= 1,
+    // Validate before caching: a rejected band set must not stick.
+    Wavefunctions wf = solve_dense(ham_, params_.n_bands);
+    XGW_REQUIRE(wf.n_valence >= 1, "GwCalculation: no occupied bands");
+    XGW_REQUIRE(wf.n_conduction() >= 1,
                 "GwCalculation: no empty bands (increase n_bands)");
+    wf_ = std::move(wf);
   }
   return *wf_;
 }

@@ -1,20 +1,29 @@
 #pragma once
 
-// Hermitian eigensolvers, implemented from scratch.
+// Dense Hermitian eigensolvers, implemented from scratch.
 //
-// Two roles in the GW pipeline:
-//  * Static subspace approximation (Sec. 5.2): chi(omega=0) is diagonalized
-//    and the N_Eig most significant eigenvectors form the subspace basis.
-//  * Mean-field substrate: dense diagonalization of the plane-wave
-//    Hamiltonian (Parabands-style band generation).
+// Every dense diagonalization in xgw goes through heev: the mean-field
+// plane-wave Hamiltonian (solve_dense, band structures), Davidson and
+// Parabands Rayleigh-Ritz, chi's static subspace (Sec. 5.2), RPA, BSE and
+// phonons.
 //
 // Two independent algorithms are provided and cross-validated in tests:
-//  * kHouseholderQL — unitary Householder reduction to real symmetric
-//    tridiagonal (zhetrd-style rank-2 updates), phase normalization of the
-//    subdiagonal, then implicit-shift QL with eigenvector accumulation.
-//    O(n^3) with a small prefactor; the production path.
-//  * kJacobi — cyclic complex Jacobi rotations; slower but self-evidently
-//    correct, used as the reference in property tests.
+//  * kHouseholderQL, the production path: unitary Householder reduction to
+//    a real symmetric tridiagonal (the rank-2 update of each step fused with
+//    the next step's matvec), phase normalization of the subdiagonal,
+//    implicit-shift QL on (d, e), and Q formed row by row afterwards:
+//    reflectors, phases, then the recorded QL rotations in batches.
+//    O(n^3) with a small prefactor.
+//  * kJacobi: cyclic complex Jacobi rotations; slower but self-evidently
+//    correct, the reference in property tests.
+//
+// Threading: from n = 128 the Householder stages split over rows on
+// xgw_num_threads() OpenMP threads. Inside an active parallel region or on
+// a scheduler worker team (in_parallel_region()) they run on one thread.
+//
+// Bits: kHouseholderQL output is bitwise identical at any thread count and
+// under any compiler flags; golden hashes in test_la_eig pin it. See
+// DESIGN.md, "Dense eigensolver".
 
 #include <vector>
 
@@ -32,8 +41,9 @@ struct EigResult {
 enum class EigMethod { kHouseholderQL, kJacobi };
 
 /// Full eigendecomposition of a Hermitian matrix. The input must be
-/// Hermitian to working precision (checked loosely); only the lower triangle
-/// is trusted when small asymmetries exist.
+/// Hermitian to working precision (checked loosely); the solver works on
+/// (A + A^H) / 2. Opens an `heev` trace span (category la, fine detail)
+/// with the size n as its argument; it attributes no FLOPs.
 EigResult heev(const ZMatrix& a, EigMethod method = EigMethod::kHouseholderQL);
 
 /// Max residual ||A v - lambda v||_inf over all pairs; testing aid.

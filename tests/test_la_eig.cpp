@@ -2,15 +2,29 @@
 //
 // The Householder+QL production path and the Jacobi reference path are
 // independent algorithms; agreement on random matrices, plus residual and
-// unitarity checks, pins both down.
+// unitarity checks, pins both down. Golden hashes pin the production
+// path's output bits, at any thread count and on worker teams.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "common/rng.h"
 #include "la/eig.h"
 #include "la/orth.h"
+#include "mf/epm.h"
+#include "mf/hamiltonian.h"
+#include "obs/report.h"
+#include "obs/trace.h"
+#include "obs/trace_check.h"
+#include "sched/run_items.h"
 
 namespace xgw {
 namespace {
@@ -45,6 +59,137 @@ ZMatrix hermitian_with_spectrum(const std::vector<double>& evals, Rng& rng) {
   return a;
 }
 
+// FNV-1a over the bits: eigenvalues; matrices as real then imaginary part
+// of each entry, row-major.
+std::uint64_t value_bits(const EigResult& r) {
+  return obs::fnv1a({reinterpret_cast<const char*>(r.values.data()),
+                     r.values.size() * sizeof(double)});
+}
+
+std::uint64_t matrix_bits(const ZMatrix& m) {
+  return obs::fnv1a({reinterpret_cast<const char*>(m.data()),
+                     static_cast<std::size_t>(m.size()) * sizeof(cplx)});
+}
+
+std::uint64_t vector_bits(const EigResult& r) { return matrix_bits(r.vectors); }
+
+// Golden output bits of heev: {eigenvalue, eigenvector} hashes. They were
+// generated once from the build of the serial Householder + QL solver that
+// the threaded one replaced (GCC 12, -O3 -march=native), and the threaded
+// solver reproduces them bit for bit at any thread count and under any
+// compiler flags. rho(G - G') is built from these eigenvectors and the GPP
+// mode filter branches on the sign of its round-off, so changing any of
+// them is a numerics change that moves pinned physics counters, never a
+// routine re-pin.
+struct GoldenEig {
+  idx n;
+  std::uint64_t values, vectors;
+};
+
+// random_hermitian(n, Rng(1000 + n)).
+constexpr GoldenEig kGoldenRandom[] = {
+    {2, 0x519c1337125e7acfULL, 0x7381d8da189f6f5fULL},
+    {3, 0xccbef575ef4c70c0ULL, 0x4e5de770d77b51f7ULL},
+    {33, 0xd67e11e618c53d06ULL, 0x13b98ccff1667f25ULL},
+    {64, 0x2f19c4eb70d38fc3ULL, 0x04266743a5ec63bcULL},
+    {65, 0x547e6c6a61b9df1eULL, 0xa29f7d9e0f113805ULL},
+    {130, 0x31b5ed2b71aefa71ULL, 0x5e4230670d7892a7ULL},
+    {257, 0xbe3a16bccbc8f9c5ULL, 0x1298bb6673988dfaULL},
+};
+
+TEST(EigGolden, RandomHermitianOutputBits) {
+  for (const GoldenEig& g : kGoldenRandom) {
+    Rng rng(1000 + static_cast<std::uint64_t>(g.n));
+    const EigResult r = heev(random_hermitian(g.n, rng));
+    EXPECT_EQ(value_bits(r), g.values) << "n=" << g.n;
+    EXPECT_EQ(vector_bits(r), g.vectors) << "n=" << g.n;
+  }
+}
+
+// The dense plane-wave Hamiltonians of the Si primitive cell and of the
+// 16-atom Si supercell that the Si16 GW runs diagonalize. The mf code that
+// builds them is not rounding-pinned, so their own bits follow the build
+// (a build without FMA contraction gives other inputs); the output goldens
+// apply where the input bits match those of the build they came from. The
+// random-matrix goldens check heev in every build.
+TEST(EigGolden, SiliconHamiltonianOutputBits) {
+  const struct {
+    idx supercell, n;
+    std::uint64_t input, values, vectors;
+  } golden[] = {
+      {1, 59, 0x161bda344c51d745ULL, 0x09a1d0ac5c5ef7c2ULL,
+       0xaa049dd46e29583fULL},
+      {2, 459, 0x808c2c2e5476fd71ULL, 0x28f74dd7e949c5d4ULL,
+       0x08144c13dc8eac48ULL},
+  };
+  for (const auto& g : golden) {
+    const ZMatrix h = PwHamiltonian(EpmModel::silicon(g.supercell)).dense();
+    ASSERT_EQ(h.rows(), g.n);
+    if (matrix_bits(h) != g.input)
+      GTEST_SKIP() << "this build rounds the supercell " << g.supercell
+                   << " Hamiltonian differently from the golden build";
+    const EigResult r = heev(h);
+    EXPECT_EQ(value_bits(r), g.values) << "supercell " << g.supercell;
+    EXPECT_EQ(vector_bits(r), g.vectors) << "supercell " << g.supercell;
+  }
+}
+
+// heev threads its stages over xgw_num_threads() and runs serially inside
+// an active OpenMP region or on a scheduler worker team; the bits are the
+// same in every case.
+TEST(EigThreads, HouseholderBitsInvariantAcrossThreadsAndTeams) {
+  Rng rng(4242);
+  const ZMatrix a = random_hermitian(200, rng);
+  const EigResult ref = heev(a);
+  const auto same = [&](const EigResult& r) {
+    return value_bits(r) == value_bits(ref) &&
+           vector_bits(r) == vector_bits(ref);
+  };
+#ifdef _OPENMP
+  const int saved = omp_get_max_threads();
+  for (int t : {1, 2, 4}) {
+    omp_set_num_threads(t);
+    EXPECT_TRUE(same(heev(a))) << t << " OpenMP threads";
+  }
+  omp_set_num_threads(saved);
+  std::vector<EigResult> in_region(2);
+  int team = 0;
+#pragma omp parallel num_threads(2)
+  {
+#pragma omp single
+    team = omp_get_num_threads();
+    in_region[static_cast<std::size_t>(omp_get_thread_num())] = heev(a);
+  }
+  for (int t = 0; t < team; ++t)
+    EXPECT_TRUE(same(in_region[static_cast<std::size_t>(t)]))
+        << "thread " << t << " of a " << team << "-thread parallel region";
+#endif
+  std::vector<EigResult> on_workers(4);
+  sched::run_items(
+      4, [&](idx i) { on_workers[static_cast<std::size_t>(i)] = heev(a); }, 4,
+      "heev");
+  for (const EigResult& r : on_workers)
+    EXPECT_TRUE(same(r)) << "on a 4-worker task team";
+}
+
+// Fine-detail traces show the eigensolver with its size and no FLOPs.
+TEST(EigTrace, FineTraceRecordsHeevSpan) {
+  auto& rec = obs::recorder();
+  rec.enable(obs::detail_level::kFine);
+  Rng rng(5);
+  heev(random_hermitian(12, rng));
+  rec.disable();
+  const std::string doc = rec.chrome_trace_json();
+  EXPECT_EQ(obs::check_chrome_trace(doc), "");
+  EXPECT_NE(doc.find("\"heev\""), std::string::npos);
+  EXPECT_NE(doc.find("\"n\":12"), std::string::npos);
+  const auto agg = rec.aggregate();
+  ASSERT_TRUE(agg.count("la/heev"));
+  EXPECT_EQ(agg.at("la/heev").calls, 1);
+  EXPECT_EQ(agg.at("la/heev").flops, 0u);
+  rec.clear();
+}
+
 class EigSizes : public ::testing::TestWithParam<idx> {};
 
 TEST_P(EigSizes, HouseholderResidualAndUnitarity) {
@@ -74,8 +219,10 @@ TEST_P(EigSizes, MethodsAgreeOnEigenvalues) {
     EXPECT_NEAR(r1.values[i], r2.values[i], 1e-9);
 }
 
+// 130 and 160 run the threaded Householder stages.
 INSTANTIATE_TEST_SUITE_P(Sizes, EigSizes,
-                         ::testing::Values<idx>(1, 2, 3, 5, 8, 16, 33, 64));
+                         ::testing::Values<idx>(1, 2, 3, 5, 8, 16, 33, 64, 130,
+                                                160));
 
 TEST(Eig, DiagonalMatrixTrivial) {
   ZMatrix a(4, 4);

@@ -133,6 +133,18 @@ TEST(Sigma, BandOutOfRangeThrows) {
   EXPECT_THROW(gw.sigma_diag({gw.n_bands()}), Error);
 }
 
+TEST(Sigma, RejectedBandSetIsNotCached) {
+  // Si has 4 occupied bands: n_bands 4 leaves no empty band. Every call
+  // must reject it, and nothing may be cached for a second call to reuse.
+  GwParameters p;
+  p.n_bands = 4;
+  GwCalculation gw(EpmModel::silicon(1), p);
+  EXPECT_THROW(gw.wavefunctions(), Error);
+  EXPECT_FALSE(gw.has_wavefunctions());
+  EXPECT_THROW(gw.wavefunctions(), Error);
+  EXPECT_FALSE(gw.has_wavefunctions());
+}
+
 TEST(Sigma, TimersRecordKernels) {
   GwCalculation& gw = si_prim_gw();
   gw.sigma_diag({gw.n_valence()});
