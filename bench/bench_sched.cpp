@@ -101,8 +101,8 @@ void graph_shape(Suite& suite) {
       .counter("edges", static_cast<double>(g.graph.n_edges()))
       .counter("critical_path_flops", g.graph.critical_path_flops());
 
-  // Epsilon-style commit chain with a sliding window of width 4: compute
-  // tasks, a serial commit chain, and window edges bounding live matrices.
+  // Commit chain with a sliding window of width 4: compute tasks, a serial
+  // commit chain, and window edges bounding live results.
   sched::TaskGraph eps;
   const idx nf = 12;
   const idx window = 4;

@@ -47,7 +47,7 @@ const std::vector<std::string>& known_input_keys() {
       "pseudobands", "pseudobands_nxi", "scissors",  "bse_nval",
       "bse_ncond",   "output_wfn",   "input_wfn",    "output_epsmat",
       "evgw_max_iter", "evgw_mixing", "rpa_n_freq",  "band_segments",
-      "vacuum",      "checkpoint",   "checkpoint_every",
+      "vacuum",      "checkpoint",
       "trace",       "trace_detail", "metrics",      "run_report",
       "peak_gflops", "mem_gbps",     "memory_budget_mb",
       "memory_budget_machine",       "spill_dir",    "validate",
@@ -186,20 +186,18 @@ int job_epsilon(const InputFile& in, std::ostream& os) {
   os << std::fixed << std::setprecision(6);
   os << "epsinv_head " << gw.epsinv0()(0, 0).real() << "\n";
   if (in.has("n_freq")) {
-    // Imaginary-axis frequency sweep with checkpoint/restart: an
-    // interrupted job rerun with the same input resumes where it stopped.
+    // Imaginary-axis frequency sweep with restart: an interrupted job
+    // rerun with the same input resumes where it stopped.
     const QuadratureRule rule =
         gauss_legendre_semi_infinite(in.get_int("n_freq", 8), 1.0);
     ChiOptions copt;
     copt.eta = gw.params().eta;
     copt.nv_block = gw.params().nv_block;
     copt.imaginary_axis = true;
-    EpsilonLoopOptions loop;
-    loop.checkpoint_path = in.get_string("checkpoint", "");
-    loop.checkpoint_every = in.get_int("checkpoint_every", 1);
     const auto epsinv = epsilon_inverse_multi(
         gw.mtxel(), gw.wavefunctions(), gw.coulomb(),
-        std::span<const double>(rule.nodes), copt, loop);
+        std::span<const double>(rule.nodes), copt,
+        in.get_string("checkpoint", ""));
     for (std::size_t k = 0; k < epsinv.size(); ++k)
       os << "epsinv_head(i*" << rule.nodes[k] << ") "
          << epsinv[k](0, 0).real() << "\n";
@@ -256,16 +254,10 @@ int job_sigma(const InputFile& in, std::ostream& os) {
   if (in.has("sigma_method")) os << "sigma_method " << method << "\n";
   if (method == "space_time") return run_sigma_st(in, gw, os);
   apply_budget(in, gw, 1, os);
-  GwCalculation::CheckpointOptions ckpt;
-  ckpt.path = in.get_string("checkpoint", "");
-  ckpt.every = in.get_int("checkpoint_every", 1);
-  const auto qp = ckpt.path.empty()
-                      ? gw.sigma_diag(sigma_bands(in, gw),
-                                      in.get_int("n_e_points", 3),
-                                      in.get_double("e_step", 0.02))
-                      : gw.sigma_diag_checkpointed(
-                            sigma_bands(in, gw), in.get_int("n_e_points", 3),
-                            in.get_double("e_step", 0.02), ckpt);
+  const auto qp = gw.sigma_diag(
+      sigma_bands(in, gw), in.get_int("n_e_points", 3),
+      in.get_double("e_step", 0.02), GppKernelVariant::kOptimized, nullptr,
+      in.get_string("checkpoint", ""));
   os << std::fixed << std::setprecision(4);
   os << "band   E_MF(eV)   SX(eV)   CH(eV)   Z      E_QP(eV)\n";
   for (const QpResult& r : qp)
@@ -517,6 +509,22 @@ int run_job_files(const std::vector<std::string>& paths, std::ostream& os) {
 
 int run_job(const InputFile& in, std::ostream& os) {
   const std::string job = in.require_string("job");
+
+  // Only the GPP Sigma band loop and the imaginary-axis epsilon sweep keep
+  // restart files; anywhere else a `checkpoint` key would be silently
+  // ignored and the user would learn it only after a kill.
+  if (in.has("checkpoint")) {
+    const std::string method = in.get_string("sigma_method", "gpp");
+    const bool restarts = (job == "sigma" && method == "gpp") ||
+                          (job == "epsilon" && in.has("n_freq"));
+    XGW_REQUIRE_KIND(
+        restarts,
+        "input key 'checkpoint' has no effect for job '" + job + "'" +
+            (job == "sigma" ? " with sigma_method " + method : "") +
+            ": only job sigma with sigma_method gpp and job epsilon with "
+            "n_freq write restart files",
+        ErrorKind::kValidation);
+  }
 
   // Robustness knobs. Each is assigned unconditionally from
   // input-or-default so one run never inherits the previous run's modes

@@ -4,9 +4,9 @@
 // via exceptions carrying the failing expression and location.
 //
 // Errors additionally carry a machine-readable ErrorKind so recovery layers
-// (io retry/backoff, spill re-materialization, checkpoint generation
-// fallback) can classify a failure as transient-retryable, corrupt-data, or
-// fatal WITHOUT parsing message strings. The kind taxonomy is deliberately
+// (io retry/backoff, spill re-materialization, restart-item recompute) can
+// classify a failure as transient-retryable, corrupt-data, or fatal
+// WITHOUT parsing message strings. The kind taxonomy is deliberately
 // coarse: it encodes the recovery action, not the root cause.
 
 #include <stdexcept>
@@ -19,8 +19,8 @@ namespace xgw {
 ///   kIoNoSpace    -> no retry; degrade gracefully (stop spilling) or fail
 ///                    with an actionable message naming stage and bytes
 ///   kIoCorrupt    -> data on disk fails its checksum; retrying the read is
-///                    useless — re-materialize from the producer or fall
-///                    back a checkpoint generation
+///                    useless — re-materialize from the producer or
+///                    recompute the restart item
 ///   kIoTruncated  -> short/torn write discovered at read time; same
 ///                    recovery as kIoCorrupt
 ///   kValidation   -> NaN/Inf caught at a kernel boundary; recompute the

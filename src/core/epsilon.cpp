@@ -1,8 +1,7 @@
 #include "core/epsilon.h"
 
 #include <algorithm>
-#include <cstdint>
-#include <cstring>
+#include <filesystem>
 #include <memory>
 #include <optional>
 #include <string>
@@ -10,13 +9,13 @@
 
 #include "common/error.h"
 #include "common/validate.h"
+#include "io/binio.h"
 #include "la/gemm.h"
 #include "mem/arena.h"
 #include "mem/planner.h"
 #include "obs/span.h"
-#include "runtime/checkpoint.h"
 #include "sched/executor.h"
-#include "sched/taskgraph.h"
+#include "sched/run_items.h"
 
 namespace xgw {
 
@@ -98,188 +97,88 @@ double epsinv_head(const ZMatrix& epsinv) {
   return epsinv(0, 0).real();
 }
 
-namespace {
-
-/// A resumed loop must describe the SAME calculation: hash the defining
-/// sizes and the raw frequency-grid bits into the checkpoint header.
-std::uint64_t epsilon_config_hash(const Mtxel& mtxel, const Wavefunctions& wf,
-                                  std::span<const double> omegas) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  };
-  mix(static_cast<std::uint64_t>(mtxel.n_g()));
-  mix(static_cast<std::uint64_t>(wf.n_bands()));
-  mix(static_cast<std::uint64_t>(wf.n_valence));
-  mix(static_cast<std::uint64_t>(omegas.size()));
-  for (double w : omegas) {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(w));
-    std::memcpy(&bits, &w, sizeof(bits));
-    mix(bits);
-  }
-  return h;
-}
-
-void put_matrix_record(CkptWriter& w, const ZMatrix& m) {
-  w.put_i64(m.rows());
-  w.put_i64(m.cols());
-  w.put_span(std::span<const cplx>(m.data(),
-                                   static_cast<std::size_t>(m.size())));
-}
-
-ZMatrix get_matrix_record(CkptReader& r) {
-  const idx rows = r.get_i64();
-  const idx cols = r.get_i64();
-  XGW_REQUIRE(rows >= 0 && cols >= 0,
-              "epsilon checkpoint: bad matrix dimensions");
-  ZMatrix m(rows, cols);
-  r.get_span(std::span<cplx>(m.data(), static_cast<std::size_t>(m.size())));
-  return m;
-}
-
-}  // namespace
-
 std::vector<ZMatrix> epsilon_inverse_multi(
     const Mtxel& mtxel, const Wavefunctions& wf, const CoulombPotential& v,
     std::span<const double> omegas, const ChiOptions& opt,
-    const EpsilonLoopOptions& loop, std::span<const cplx> head_values) {
+    const std::string& restart_dir, std::span<const cplx> head_values) {
   XGW_REQUIRE(!omegas.empty(), "epsilon_inverse_multi: need frequencies");
   XGW_REQUIRE(head_values.empty() || head_values.size() == omegas.size(),
               "epsilon_inverse_multi: one head value per frequency");
-  XGW_REQUIRE(loop.checkpoint_every >= 1,
-              "epsilon_inverse_multi: checkpoint_every must be >= 1");
   const idx nfreq = static_cast<idx>(omegas.size());
-  const bool ckpt = !loop.checkpoint_path.empty();
-  const std::uint64_t cfg = epsilon_config_hash(mtxel, wf, omegas);
+  const idx ng = mtxel.n_g();
 
   obs::Span span("epsilon_inverse_multi", "epsilon", obs::detail_level::kStage);
   if (span.active()) {
     span.arg("n_freq", static_cast<long long>(nfreq));
-    span.arg("checkpointed", ckpt ? "yes" : "no");
+    span.arg("checkpointed", restart_dir.empty() ? "no" : "yes");
   }
 
-  std::vector<ZMatrix> out;
-  out.reserve(static_cast<std::size_t>(nfreq));
-
-  // Resume: accept the checkpoint only if it describes this exact loop.
-  if (ckpt) {
-    if (auto c = checkpoint_load(loop.checkpoint_path);
-        c && c->stage == CheckpointStage::kEpsilon &&
-        c->config_hash == cfg && c->total == nfreq && c->step <= nfreq) {
-      CkptReader r(c->payload);
-      for (idx k = 0; k < c->step; ++k) out.push_back(get_matrix_record(r));
+  // One restart file per frequency, named by everything its bits read.
+  std::vector<std::string> files;
+  if (!restart_dir.empty()) {
+    RestartKey base;
+    base.add(wf).add(std::span<const double>(v.values()));
+    base.add(opt.eta).add(opt.nv_block).add(opt.head_value).add(
+        opt.imaginary_axis);
+    // The GEMM engine's kernel and tiles fix chi's summation order, so a
+    // resume on another host (or autotune cache) recomputes, never mixes.
+    const GemmV3Config& g = gemm_v3_active_config();
+    base.add(g.isa).add(g.mr).add(g.nr).add(g.mc).add(g.kc).add(g.nc);
+    for (idx k = 0; k < nfreq; ++k) {
+      const std::size_t i = static_cast<std::size_t>(k);
+      RestartKey key = base;
+      key.add(omegas[i]);
+      if (!head_values.empty()) key.add(head_values[i]);
+      files.push_back(
+          restart_item_path(restart_dir, "eps-" + std::to_string(k), key));
     }
   }
 
-  auto save = [&] {
-    CkptWriter w;
-    for (const ZMatrix& m : out) put_matrix_record(w, m);
-    Checkpoint c;
-    c.stage = CheckpointStage::kEpsilon;
-    c.step = static_cast<std::int64_t>(out.size());
-    c.total = nfreq;
-    c.config_hash = cfg;
-    c.payload = w.take();
-    checkpoint_save_best_effort(loop.checkpoint_path, c, "epsilon");
-  };
+  // With one worker the frequencies run inline on this thread, so every
+  // iteration's chi + inversion temporaries live on one arena that rewinds
+  // between frequencies. Worker tasks migrate between threads and arena
+  // scopes are thread-bound, so pooled runs use the tracked heap.
+  const int workers = sched::Executor::default_workers();
+  std::unique_ptr<mem::Arena> arena;
+  if (workers <= 1)
+    arena = std::make_unique<mem::Arena>(mem::epsilon_step_arena_bytes(
+        ng, wf.n_valence, wf.n_conduction(), xgw_num_threads()));
 
-  // Commits (append + checkpoint cadence + simulated kill) are shared by
-  // the serial and scheduled paths so their observable behavior cannot
-  // drift apart.
-  auto commit_one = [&](ZMatrix&& einv) {
-    {
-      // The result may outlive an arena scope: copy it onto the tracked
-      // heap (a move could carry arena-backed storage out of the scope).
-      mem::HeapScope heap;
-      out.push_back(einv);
-    }
-    const idx done = static_cast<idx>(out.size());
-    if (ckpt && (done % loop.checkpoint_every == 0 || done == nfreq)) save();
-    if (loop.abort_after >= 0 && done >= loop.abort_after && done < nfreq)
-      throw Error("epsilon_inverse_multi: simulated job kill after " +
-                  std::to_string(done) + " frequencies");
-  };
+  std::vector<ZMatrix> out(static_cast<std::size_t>(nfreq));
+  sched::run_items(
+      nfreq,
+      [&](idx k) {
+        const std::size_t i = static_cast<std::size_t>(k);
+        if (!files.empty()) {
+          if (std::optional<ZMatrix> m = load_restart_item(files[i], ng, ng)) {
+            out[i] = std::move(*m);
+            return;
+          }
+        }
+        {
+          // `scope` outlives the frequency's temporaries, so their
+          // arena-backed storage is still bound when they destruct.
+          std::optional<mem::ArenaScope> scope;
+          if (arena) scope.emplace(*arena);
+          // One frequency at a time through the same NV-Block accumulation
+          // as the batched path: bitwise-equal to chi_multi over the grid.
+          std::vector<ZMatrix> chik = chi_multi(
+              mtxel, wf, omegas.subspan(i, 1), opt, nullptr,
+              head_values.empty() ? std::span<const cplx>{}
+                                  : head_values.subspan(i, 1));
+          ZMatrix einv = epsilon_inverse(chik.front(), v);
+          require_finite(einv, "epsilon_inverse_multi: eps^{-1}(omega)");
+          // The result outlives the arena scope: copy it onto the tracked
+          // heap (a move could carry arena-backed storage out of the scope).
+          mem::HeapScope heap;
+          out[i] = einv;
+        }
+        if (!files.empty()) save_restart_item(files[i], out[i]);
+      },
+      workers, "eps.freq");
 
-  auto compute_one = [&](idx k) {
-    // One frequency at a time through the same NV-Block accumulation as
-    // the batched path: bitwise-equal to chi_multi over the full grid.
-    std::vector<ZMatrix> chik =
-        chi_multi(mtxel, wf, omegas.subspan(static_cast<std::size_t>(k), 1),
-                  opt, nullptr,
-                  head_values.empty()
-                      ? std::span<const cplx>{}
-                      : head_values.subspan(static_cast<std::size_t>(k), 1));
-    ZMatrix einv = epsilon_inverse(chik.front(), v);
-    require_finite(einv, "epsilon_inverse_multi: eps^{-1}(omega)");
-    return einv;
-  };
-
-  const int workers =
-      loop.workers >= 1 ? loop.workers : sched::Executor::default_workers();
-  const idx k0 = static_cast<idx>(out.size());
-
-  if (workers <= 1) {
-    // Serial loop. Every iteration needs the same chi + inversion
-    // temporaries, so they live on one arena that rewinds between
-    // frequencies: the loop performs zero steady-state heap allocations
-    // (test_mem asserts this).
-    std::unique_ptr<mem::Arena> arena;
-    if (loop.use_arena) {
-      const std::size_t cap =
-          loop.arena_bytes > 0
-              ? loop.arena_bytes
-              : mem::epsilon_step_arena_bytes(mtxel.n_g(), wf.n_valence,
-                                              wf.n_conduction(),
-                                              xgw_num_threads());
-      arena = std::make_unique<mem::Arena>(cap);
-    }
-    for (idx k = k0; k < nfreq; ++k) {
-      // `scope` outlives the frequency's temporaries, so their
-      // arena-backed storage is still bound when they destruct.
-      std::optional<mem::ArenaScope> scope;
-      if (arena) scope.emplace(*arena);
-      commit_one(compute_one(k));
-    }
-  } else {
-    // Task-graph loop: frequency k's COMPUTE (chi + inversion, the heavy
-    // part) runs concurrently across workers; its COMMIT is a node on a
-    // serial chain (commit k needs compute k and commit k-1), preserving
-    // the contiguous-prefix checkpoint/abort semantics and the append
-    // order bitwise. A sliding window (compute k waits for commit k-W)
-    // bounds uncommitted results in flight to ~W matrices. The arena is
-    // bypassed: its scopes are thread-bound, and tasks migrate.
-    const idx n_rem = nfreq - k0;
-    std::vector<ZMatrix> slot(static_cast<std::size_t>(n_rem));
-    sched::TaskGraph graph;
-    std::vector<sched::TaskId> compute(static_cast<std::size_t>(n_rem));
-    std::vector<sched::TaskId> commit(static_cast<std::size_t>(n_rem));
-    for (idx j = 0; j < n_rem; ++j) {
-      const idx k = k0 + j;
-      compute[static_cast<std::size_t>(j)] = graph.add_task(
-          "eps freq " + std::to_string(k),
-          [&, j, k] { slot[static_cast<std::size_t>(j)] = compute_one(k); },
-          "eps.freq");
-    }
-    for (idx j = 0; j < n_rem; ++j) {
-      commit[static_cast<std::size_t>(j)] = graph.add_task(
-          "eps commit " + std::to_string(k0 + j),
-          [&, j] { commit_one(std::move(slot[static_cast<std::size_t>(j)])); },
-          "eps.commit");
-      graph.add_edge(compute[static_cast<std::size_t>(j)],
-                     commit[static_cast<std::size_t>(j)]);
-      if (j > 0)
-        graph.add_edge(commit[static_cast<std::size_t>(j - 1)],
-                       commit[static_cast<std::size_t>(j)]);
-      if (j >= static_cast<idx>(workers))
-        graph.add_edge(commit[static_cast<std::size_t>(j - workers)],
-                       compute[static_cast<std::size_t>(j)]);
-    }
-    sched::Executor(workers).run(graph);
-  }
-
-  if (ckpt) checkpoint_remove(loop.checkpoint_path);
+  std::error_code ec;
+  for (const std::string& f : files) std::filesystem::remove(f, ec);
   return out;
 }
 

@@ -54,44 +54,22 @@ LowRankEpsInv epsilon_inverse_subspace(const Subspace& sub,
 /// semiconductor this is 1/eps_infinity in (0, 1).
 double epsinv_head(const ZMatrix& epsinv);
 
-/// Checkpoint/restart policy for the epsilon frequency loop (the analogue
-/// of BerkeleyGW's per-q-point restart files).
-struct EpsilonLoopOptions {
-  std::string checkpoint_path;  ///< empty = checkpointing disabled
-  idx checkpoint_every = 1;     ///< snapshot after this many frequencies
-  /// Testing hook simulating a job kill: throw xgw::Error once this many
-  /// frequencies have completed (and been checkpointed). < 0 disables.
-  idx abort_after = -1;
-  /// Run each frequency's chi + inversion temporaries on a mem::Arena, so
-  /// iteration k reuses iteration k-1's bytes instead of re-allocating.
-  /// Numerically inert (same values, different storage). Results are copied
-  /// to the heap before the per-frequency scope closes.
-  bool use_arena = true;
-  /// Arena capacity; 0 = auto-size from mem::epsilon_step_arena_bytes. An
-  /// undersized arena falls back to the tracked heap (never an error).
-  std::size_t arena_bytes = 0;
-  /// Scheduler workers for the frequency loop: <= 0 uses
-  /// sched::Executor::default_workers(); 1 is the exact serial loop
-  /// (including the zero-allocation arena path). With W > 1 the
-  /// frequencies run as concurrent compute tasks feeding a serial commit
-  /// chain, so checkpoint prefixes, abort_after semantics and the results
-  /// themselves are bitwise identical to the serial loop; the arena is
-  /// bypassed (its scopes are thread-bound).
-  int workers = 0;
-};
-
-/// Dense eps^{-1}(omega_k) for every grid frequency, checkpointing the
-/// loop state after each `checkpoint_every` completed frequencies (atomic
-/// write-rename via runtime/checkpoint). A resumed run skips completed
-/// frequencies and reproduces the uninterrupted result BITWISE: each
-/// frequency's chi accumulates over the same valence blocks in the same
-/// order whether computed alone or in a batch. `head_values`, if
-/// non-empty, supplies one q->0 head per frequency (as in chi_multi).
-/// The checkpoint is removed on successful completion.
+/// Dense eps^{-1}(omega_k) for every grid frequency. The frequencies run as
+/// sched::run_items tasks on sched::Executor::default_workers() workers,
+/// each writing its own result slot; with one worker every frequency's chi
+/// + inversion temporaries share one rewinding mem::Arena. `head_values`,
+/// if non-empty, supplies one q->0 head per frequency (as in chi_multi).
+///
+/// A non-empty `restart_dir` keeps one io/binio restart file per finished
+/// frequency (see binio.h). Frequencies whose file is present and intact
+/// are loaded instead of computed, and the result is BITWISE the
+/// uninterrupted one: each frequency's chi accumulates over the same
+/// valence blocks in the same order whether computed alone or in a batch.
+/// The loop's files are removed on successful completion.
 std::vector<ZMatrix> epsilon_inverse_multi(
     const Mtxel& mtxel, const Wavefunctions& wf, const CoulombPotential& v,
     std::span<const double> omegas, const ChiOptions& opt = {},
-    const EpsilonLoopOptions& loop = {},
+    const std::string& restart_dir = {},
     std::span<const cplx> head_values = {});
 
 }  // namespace xgw

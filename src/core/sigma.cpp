@@ -2,17 +2,40 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <cstring>
+#include <filesystem>
 
 #include "common/error.h"
 #include "common/validate.h"
+#include "io/binio.h"
 #include "la/eig.h"
 #include "obs/span.h"
-#include "runtime/checkpoint.h"
 #include "sched/run_items.h"
 
 namespace xgw {
+
+ZMatrix encode_qp(const QpResult& r) {
+  ZMatrix m(1, 5);
+  m(0, 0) = cplx(static_cast<double>(r.band), r.e_mf);
+  m(0, 1) = r.sigma.sx;
+  m(0, 2) = r.sigma.ch;
+  m(0, 3) = cplx(r.dsigma_de, r.z);
+  m(0, 4) = cplx(r.e_qp, 0.0);
+  return m;
+}
+
+QpResult decode_qp(const ZMatrix& m) {
+  XGW_REQUIRE_KIND(m.rows() == 1 && m.cols() == 5,
+                   "decode_qp: not a QP row", ErrorKind::kIoCorrupt);
+  QpResult r;
+  r.band = static_cast<idx>(m(0, 0).real());
+  r.e_mf = m(0, 0).imag();
+  r.sigma.sx = m(0, 1);
+  r.sigma.ch = m(0, 2);
+  r.dsigma_de = m(0, 3).real();
+  r.z = m(0, 3).imag();
+  r.e_qp = m(0, 4).real();
+  return r;
+}
 
 GwCalculation::GwCalculation(const EpmModel& model, const GwParameters& params)
     : params_(params),
@@ -170,16 +193,45 @@ QpSolve solve_qp_linear(double e_mf, std::span<const double> e_samples,
 std::vector<QpResult> GwCalculation::sigma_diag(const std::vector<idx>& bands,
                                                 idx n_e_points, double e_step,
                                                 GppKernelVariant variant,
-                                                FlopCounter* flops) {
+                                                FlopCounter* flops,
+                                                const std::string& restart_dir) {
   XGW_REQUIRE(n_e_points >= 1, "sigma_diag: need at least one energy point");
   const Wavefunctions& wf = wavefunctions();
   const GppDiagKernel kernel(gpp(), coulomb_);
 
+  // One restart file per band, named by everything the band task reads. A
+  // band listed twice keeps one file (the first listing owns it).
+  std::vector<std::string> files;
+  if (!restart_dir.empty()) {
+    RestartKey base;
+    base.add(wf).add(std::span<const double>(coulomb_.values()));
+    base.add(gpp().omega2).add(gpp().wtilde2).add(gpp().wtilde);
+    base.add(n_e_points).add(e_step).add(variant);
+    for (std::size_t i = 0; i < bands.size(); ++i) {
+      const idx l = bands[i];
+      const bool first = std::find(bands.begin(), bands.end(), l) -
+                             bands.begin() ==
+                         static_cast<std::ptrdiff_t>(i);
+      files.push_back(first ? restart_item_path(restart_dir,
+                                                "sigma-" + std::to_string(l),
+                                                RestartKey(base).add(l))
+                            : std::string());
+    }
+  }
+
   std::vector<QpResult> results(bands.size());
 
   auto compute_band = [&](idx bi) {
-    const idx l = bands[static_cast<std::size_t>(bi)];
+    const std::size_t slot = static_cast<std::size_t>(bi);
+    const idx l = bands[slot];
     XGW_REQUIRE(l >= 0 && l < wf.n_bands(), "sigma_diag: band out of range");
+    const std::string file = files.empty() ? std::string() : files[slot];
+    if (!file.empty()) {
+      if (std::optional<ZMatrix> row = load_restart_item(file, 1, 5)) {
+        results[slot] = decode_qp(*row);
+        return;
+      }
+    }
     ZMatrix m_ln;
     bool m_cached = false;
     if (mtxel_load_) {
@@ -226,7 +278,8 @@ std::vector<QpResult> GwCalculation::sigma_diag(const std::vector<idx>& bands,
     r.dsigma_de = qp.dsigma_de;
     r.z = qp.z;
     r.e_qp = qp.e_qp;
-    results[static_cast<std::size_t>(bi)] = r;
+    results[slot] = r;
+    if (!file.empty()) save_restart_item(file, encode_qp(r));
   };
 
   // Bands write disjoint result slots and the GPP kernel's two-stage
@@ -242,104 +295,9 @@ std::vector<QpResult> GwCalculation::sigma_diag(const std::vector<idx>& bands,
   } else {
     for (idx bi = 0; bi < nb; ++bi) compute_band(bi);
   }
-  return results;
-}
-
-namespace {
-
-/// Hash of everything that defines the band loop: resuming under different
-/// parameters must start fresh, never splice inconsistent results.
-std::uint64_t sigma_config_hash(const std::vector<idx>& bands, idx n_e_points,
-                                double e_step, idx n_bands, idx n_g) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  };
-  mix(static_cast<std::uint64_t>(n_bands));
-  mix(static_cast<std::uint64_t>(n_g));
-  mix(static_cast<std::uint64_t>(n_e_points));
-  std::uint64_t bits;
-  std::memcpy(&bits, &e_step, sizeof(bits));
-  mix(bits);
-  mix(static_cast<std::uint64_t>(bands.size()));
-  for (idx b : bands) mix(static_cast<std::uint64_t>(b));
-  return h;
-}
-
-void put_qp_record(CkptWriter& w, const QpResult& r) {
-  w.put_i64(r.band);
-  w.put_f64(r.e_mf);
-  w.put_cplx(r.sigma.sx);
-  w.put_cplx(r.sigma.ch);
-  w.put_f64(r.dsigma_de);
-  w.put_f64(r.z);
-  w.put_f64(r.e_qp);
-}
-
-QpResult get_qp_record(CkptReader& r) {
-  QpResult q;
-  q.band = r.get_i64();
-  q.e_mf = r.get_f64();
-  q.sigma.sx = r.get_cplx();
-  q.sigma.ch = r.get_cplx();
-  q.dsigma_de = r.get_f64();
-  q.z = r.get_f64();
-  q.e_qp = r.get_f64();
-  return q;
-}
-
-}  // namespace
-
-std::vector<QpResult> GwCalculation::sigma_diag_checkpointed(
-    const std::vector<idx>& bands, idx n_e_points, double e_step,
-    const CheckpointOptions& ckpt) {
-  XGW_REQUIRE(ckpt.every >= 1,
-              "sigma_diag_checkpointed: every must be >= 1");
-  const idx n_total = static_cast<idx>(bands.size());
-  const bool use_ckpt = !ckpt.path.empty();
-  const std::uint64_t cfg =
-      sigma_config_hash(bands, n_e_points, e_step, n_bands(), n_g());
-
-  std::vector<QpResult> results;
-  results.reserve(bands.size());
-
-  if (use_ckpt) {
-    if (auto c = checkpoint_load(ckpt.path);
-        c && c->stage == CheckpointStage::kSigma && c->config_hash == cfg &&
-        c->total == n_total && c->step <= n_total) {
-      CkptReader r(c->payload);
-      for (idx k = 0; k < c->step; ++k) results.push_back(get_qp_record(r));
-    }
-  }
-
-  auto save = [&] {
-    CkptWriter w;
-    for (const QpResult& r : results) put_qp_record(w, r);
-    Checkpoint c;
-    c.stage = CheckpointStage::kSigma;
-    c.step = static_cast<std::int64_t>(results.size());
-    c.total = n_total;
-    c.config_hash = cfg;
-    c.payload = w.take();
-    checkpoint_save_best_effort(ckpt.path, c, "sigma");
-  };
-
-  for (idx k = static_cast<idx>(results.size()); k < n_total; ++k) {
-    // Bands are independent; computing one at a time reproduces the batch
-    // results bitwise.
-    const std::vector<QpResult> one =
-        sigma_diag({bands[static_cast<std::size_t>(k)]}, n_e_points, e_step);
-    results.push_back(one.front());
-
-    const idx done = static_cast<idx>(results.size());
-    if (use_ckpt && (done % ckpt.every == 0 || done == n_total)) save();
-    if (ckpt.abort_after >= 0 && done >= ckpt.abort_after && done < n_total)
-      throw Error("sigma_diag_checkpointed: simulated job kill after " +
-                  std::to_string(done) + " bands");
-  }
-
-  if (use_ckpt) checkpoint_remove(ckpt.path);
+  std::error_code ec;
+  for (const std::string& f : files)
+    if (!f.empty()) std::filesystem::remove(f, ec);
   return results;
 }
 

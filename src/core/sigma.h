@@ -55,6 +55,12 @@ struct QpResult {
   double e_qp = 0.0;          ///< quasiparticle energy (Ha)
 };
 
+/// QP-row codec: a QpResult packed into a 1x5 complex row so it rides the
+/// binio matrix format (doubles round-trip bitwise). The serve store's QP
+/// entries and the Sigma band loop's restart files both use it.
+ZMatrix encode_qp(const QpResult& r);
+QpResult decode_qp(const ZMatrix& m);
+
 /// Holds the assembled GW machinery for one material/system. Stages are
 /// computed lazily and cached; `timers()` records the per-kernel breakdown
 /// (MTXEL / CHI_SUM / Diag / GPP ...) like BerkeleyGW's report.
@@ -129,29 +135,18 @@ class GwCalculation {
 
   /// Diagonal Sigma + QP for the given bands (GPP diag kernel, Sec. 5.5).
   /// `n_e_points` energies spaced `e_step` around each E_n^MF sample the
-  /// energy dependence (the N_E of Eq. 7).
+  /// energy dependence (the N_E of Eq. 7). Bands run as scheduler tasks
+  /// (serially when `flops` is given).
+  ///
+  /// A non-empty `restart_dir` keeps one io/binio restart file per finished
+  /// band (an encode_qp row; see binio.h). Bands are mutually independent,
+  /// so a resumed call loads the bands whose file is present and intact,
+  /// computes the rest, and returns results BITWISE identical to the
+  /// uninterrupted call. The band files are removed on success.
   std::vector<QpResult> sigma_diag(
       const std::vector<idx>& bands, idx n_e_points = 3, double e_step = 0.02,
       GppKernelVariant variant = GppKernelVariant::kOptimized,
-      FlopCounter* flops = nullptr);
-
-  /// Checkpoint/restart policy for the sigma band loop.
-  struct CheckpointOptions {
-    std::string path;     ///< checkpoint file; empty = disabled
-    idx every = 1;        ///< snapshot after this many completed bands
-    /// Testing hook simulating a job kill: throw xgw::Error once this many
-    /// bands have completed (and been checkpointed). < 0 disables.
-    idx abort_after = -1;
-  };
-
-  /// sigma_diag with the band loop checkpointed after every `every`
-  /// completed bands (atomic write-rename via runtime/checkpoint). Bands
-  /// are mutually independent, so a resumed run skips the completed ones
-  /// and returns results BITWISE identical to the uninterrupted call. The
-  /// checkpoint is removed on successful completion.
-  std::vector<QpResult> sigma_diag_checkpointed(
-      const std::vector<idx>& bands, idx n_e_points, double e_step,
-      const CheckpointOptions& ckpt);
+      FlopCounter* flops = nullptr, const std::string& restart_dir = {});
 
   /// Full Sigma_lm(E_i) matrices on a uniform grid spanning the external
   /// bands' energy window (GPP off-diag kernel, Sec. 5.6). Returns one

@@ -1,12 +1,16 @@
 #include "io/binio.h"
 
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <vector>
 
 #include "common/error.h"
+#include "common/log.h"
 #include "io/iohooks.h"
+#include "obs/metrics.h"
 
 namespace xgw {
 
@@ -38,7 +42,7 @@ class Writer {
   explicit Writer(const std::string& path) : file_(path) {}
 
   void put(const void* data, std::size_t n) {
-    hash_ = io::fnv1a_bytes(data, n, hash_);
+    hash_ = obs::fnv1a({static_cast<const char*>(data), n}, hash_);
     file_.put(data, n);
   }
 
@@ -50,11 +54,11 @@ class Writer {
 
  private:
   HookedFileWriter file_;
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+  std::uint64_t hash_ = obs::kFnv1aBasis;
 };
 
 // Every read error names the file and the byte offset where the read
-// started — a restart that dies on a corrupt checkpoint must tell the
+// started — a run that dies on a corrupt input file must tell the
 // operator WHICH file and WHERE, not just that "a" checksum failed. Errors
 // carry ErrorKind so the recovery layers can classify without parsing.
 class Reader {
@@ -63,7 +67,7 @@ class Reader {
 
   void get(void* data, std::size_t n) {
     file_.get(data, n);
-    hash_ = io::fnv1a_bytes(data, n, hash_);
+    hash_ = obs::fnv1a({static_cast<const char*>(data), n}, hash_);
   }
 
   void verify_checksum() {
@@ -90,7 +94,7 @@ class Reader {
 
  private:
   HookedFileReader file_;
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+  std::uint64_t hash_ = obs::kFnv1aBasis;
 };
 
 Header make_header(std::uint32_t kind, idx rows, idx cols,
@@ -254,6 +258,79 @@ std::size_t wavefunctions_file_bytes(idx n_bands, idx n_pw) {
          static_cast<std::size_t>(n_bands * n_pw) * sizeof(cplx) +
          static_cast<std::size_t>(n_bands) * sizeof(double) +
          sizeof(std::uint64_t);
+}
+
+std::string restart_item_path(const std::string& dir, const std::string& item,
+                              const RestartKey& key) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  XGW_REQUIRE_KIND(!ec,
+                   "restart: cannot create checkpoint directory '" + dir +
+                       "': " + ec.message(),
+                   ErrorKind::kValidation);
+  char hex[24];
+  std::snprintf(hex, sizeof(hex), "%016" PRIx64, key.value());
+  return (std::filesystem::path(dir) / (item + "-" + hex + ".bin")).string();
+}
+
+std::optional<ZMatrix> load_restart_item(const std::string& path, idx rows,
+                                         idx cols) {
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (ec) return std::nullopt;  // not written yet
+  try {
+    // The expected size is known up front, so a short file is named for
+    // what it is — a torn write — before binio reads any of it.
+    const std::size_t want = matrix_file_bytes(rows, cols);
+    XGW_REQUIRE_KIND(size == want,
+                     "restart: '" + path + "' has " + std::to_string(size) +
+                         " bytes, a " + std::to_string(rows) + "x" +
+                         std::to_string(cols) + " item file has " +
+                         std::to_string(want),
+                     size < want ? ErrorKind::kIoTruncated
+                                 : ErrorKind::kIoCorrupt);
+    ZMatrix m = read_matrix(path);
+    XGW_REQUIRE_KIND(m.rows() == rows && m.cols() == cols,
+                     "restart: '" + path + "' holds a " +
+                         std::to_string(m.rows()) + "x" +
+                         std::to_string(m.cols()) + " matrix, expected " +
+                         std::to_string(rows) + "x" + std::to_string(cols),
+                     ErrorKind::kIoCorrupt);
+    obs::metrics().counter("checkpoint.loads").inc();
+    return m;
+  } catch (const Error& e) {
+    if (e.kind() == ErrorKind::kGeneric || e.kind() == ErrorKind::kValidation)
+      throw;
+    log_warn("restart: recomputing the item of unusable file ", path, ": ",
+             e.what());
+    std::filesystem::remove(path, ec);
+    io::publish_recovered(e.kind());
+    return std::nullopt;
+  }
+}
+
+void save_restart_item(const std::string& path, const ZMatrix& m) {
+  try {
+    write_matrix(path, m);
+  } catch (const Error& e) {
+    if (e.kind() == ErrorKind::kGeneric || e.kind() == ErrorKind::kValidation)
+      throw;
+    // A partial file must not outlive the skip: it would resurface on
+    // resume as a torn file that no fault ever tore.
+    std::error_code ec;
+    std::filesystem::remove(path, ec);
+    log_warn("restart: SKIPPING ", path, " (",
+             matrix_file_bytes(m.rows(), m.cols()), " bytes): ", e.what(),
+             " -- the loop continues; this item is recomputed if the run "
+             "is resumed");
+    obs::metrics().counter("checkpoint/skipped").inc();
+    io::publish_recovered(e.kind());
+    return;
+  }
+  obs::metrics().counter("checkpoint.writes").inc();
+  obs::metrics()
+      .counter("checkpoint.bytes")
+      .add(matrix_file_bytes(m.rows(), m.cols()));
 }
 
 }  // namespace xgw

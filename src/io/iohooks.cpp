@@ -8,6 +8,7 @@
 
 #include "common/rng.h"
 #include "obs/metrics.h"
+#include "obs/report.h"
 #include "obs/trace.h"
 
 namespace xgw::io {
@@ -64,6 +65,12 @@ const char* recovered_fault_name(ErrorKind k) {
   }
 }
 
+void publish_recovered(ErrorKind k) {
+  obs::metrics()
+      .counter(std::string("fault/io/recovered/") + recovered_fault_name(k))
+      .inc();
+}
+
 void set_io_hooks(IoHooks* hooks) noexcept {
   g_hooks.store(hooks, std::memory_order_release);
 }
@@ -88,23 +95,12 @@ IoRetryPolicy io_retry_policy() noexcept {
   return g_policy;
 }
 
-std::uint64_t fnv1a_bytes(const void* data, std::size_t n,
-                          std::uint64_t seed) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = seed;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 double io_backoff_s(const IoRetryPolicy& policy, const std::string& path,
                     int failure) {
   double b = policy.backoff_base_s;
   for (int i = 0; i < failure; ++i) b *= policy.backoff_mult;
   if (policy.jitter > 0.0) {
-    Rng rng(policy.seed ^ fnv1a_bytes(path.data(), path.size()) ^
+    Rng rng(policy.seed ^ obs::fnv1a(path) ^
             (0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(failure + 1)));
     b *= 1.0 + policy.jitter * rng.uniform();
   }
@@ -135,14 +131,10 @@ int io_retry_run(const char* what, const std::string& path,
       // counted here: a retried read of an at-rest-corrupt file
       // re-discovers the SAME event each attempt, and the layer that
       // finally neutralizes the bad file (rewrite, re-materialization,
-      // checkpoint fallback) counts it once. This is what keeps
+      // restart-item recompute) counts it once. This is what keeps
       // fault/io/injected/* == fault/io/recovered/* exact in the chaos
       // harness.
-      if (is_transient(k))
-        obs::metrics()
-            .counter(std::string("fault/io/recovered/") +
-                     recovered_fault_name(k))
-            .inc();
+      if (is_transient(k)) publish_recovered(k);
       const double backoff = io_backoff_s(policy, path, attempt);
       obs::metrics()
           .counter("fault/io/backoff_us")

@@ -1,8 +1,8 @@
 #pragma once
 
 // Pluggable I/O interposition seam + retry/backoff policy for every file
-// that xgw reads or writes (binio matrix/WFN files, spill pages,
-// checkpoints).
+// that xgw reads or writes (binio matrix/WFN files and restart items, spill
+// pages, CAS entries).
 //
 // Production builds pay one relaxed atomic pointer load per operation: when
 // no hooks are installed the fast path is a nullptr check and the raw
@@ -14,12 +14,12 @@
 //   * shorten the write (torn write: the file silently ends early).
 //
 // Recovery is layered ABOVE the seam: whole-file operations (write_matrix,
-// read_matrix, checkpoint_save, spill page-in) run under `io_retry_run`,
-// which retries transient failures with deterministic seeded-jitter
-// exponential backoff and publishes fault/io/... metrics, so a blip never
-// kills an hours-long campaign. Corruption kinds are NOT retried on the
-// write path (the bytes are wrong, not the timing) — they surface to the
-// spill re-materialization / checkpoint-generation-fallback layers.
+// read_matrix, spill page-in) run under `io_retry_run`, which retries
+// transient failures with deterministic seeded-jitter exponential backoff
+// and publishes fault/io/... metrics, so a blip never kills an hours-long
+// campaign. Corruption kinds are NOT retried on the write path (the bytes
+// are wrong, not the timing) — they surface to the spill
+// re-materialization / CAS rewrite / restart-item recompute layers.
 
 #include <cstddef>
 #include <cstdint>
@@ -98,7 +98,7 @@ struct IoRetryPolicy {
   bool enabled() const { return max_attempts > 1; }
 };
 
-/// Process-wide policy consulted by binio / spill / checkpoint operations.
+/// Process-wide policy consulted by binio / spill / CAS operations.
 void set_io_retry_policy(const IoRetryPolicy& policy) noexcept;
 IoRetryPolicy io_retry_policy() noexcept;
 
@@ -117,23 +117,22 @@ double io_backoff_s(const IoRetryPolicy& policy, const std::string& path,
 int io_retry_run(const char* what, const std::string& path,
                  bool retry_corruption, const std::function<void()>& body);
 
-/// FNV-1a over a byte range (shared by binio checksums and the backoff
-/// jitter keying).
-std::uint64_t fnv1a_bytes(const void* data, std::size_t n,
-                          std::uint64_t seed = 0xcbf29ce484222325ULL);
-
 /// The injected-fault name an ErrorKind observed during recovery pairs
 /// with, so fault/io/injected/<name> and fault/io/recovered/<name> line up
 /// exactly: a torn write is DISCOVERED as a truncated read (-> "torn"), a
 /// silent bit flip as a checksum mismatch (-> "bitflip").
 const char* recovered_fault_name(ErrorKind k);
 
+/// Ticks fault/io/recovered/<recovered_fault_name(k)>: the one mark a
+/// recovery layer publishes per fault it neutralized.
+void publish_recovered(ErrorKind k);
+
 // --- hook-aware file primitives ------------------------------------------
 //
 // Thin ofstream/ifstream wrappers that route every byte through the hooks
 // seam and throw classified errors naming path + byte offset. binio's
-// checksummed formats and runtime/checkpoint's CRC container both build on
-// these, so fault injection and retry cover every storage path uniformly.
+// checksummed formats and the spill pool build on these, so fault
+// injection and retry cover every storage path uniformly.
 
 class HookedFileWriter {
  public:
@@ -179,8 +178,9 @@ class HookedFileReader {
   std::uint64_t offset_ = 0;
 };
 
-/// Hook-aware atomic rename (checkpoint promotion). Throws kIoTransient on
-/// filesystem failure so the save-level retry loop can re-attempt it.
+/// Hook-aware atomic rename (CAS tmp -> entry promotion). Throws
+/// kIoTransient on filesystem failure so the caller's retry loop can
+/// re-attempt it.
 void hooked_rename(const std::string& from, const std::string& to);
 
 }  // namespace xgw::io

@@ -24,13 +24,6 @@ std::size_t matrix_bytes(const ZMatrix& m) {
 
 std::atomic<SpillVerify> g_verify{SpillVerify::kSize};
 
-void publish_recovered(ErrorKind k) {
-  obs::metrics()
-      .counter(std::string("fault/io/recovered/") +
-               io::recovered_fault_name(k))
-      .inc();
-}
-
 }  // namespace
 
 const char* to_string(SpillVerify v) {
@@ -134,7 +127,7 @@ bool SpillPool::write_verified(const std::string& key, const Entry& e) {
         rewrites_ += failed_kinds.size();
         for (ErrorKind k : failed_kinds) {
           obs::metrics().counter("spill/rewrites").inc();
-          publish_recovered(k);
+          io::publish_recovered(k);
         }
         return true;
       }
@@ -147,8 +140,8 @@ bool SpillPool::write_verified(const std::string& key, const Entry& e) {
       log_warn("spill: cannot write ", file, " (", e.bytes,
                " payload bytes): ", err.what(),
                " -- pool degrades to in-core operation");
-      for (ErrorKind k : failed_kinds) publish_recovered(k);
-      publish_recovered(err.kind());
+      for (ErrorKind k : failed_kinds) io::publish_recovered(k);
+      io::publish_recovered(err.kind());
       return false;
     }
   }
@@ -156,7 +149,7 @@ bool SpillPool::write_verified(const std::string& key, const Entry& e) {
            " payload bytes) failed ", to_string(verify_),
            " verification ", kMaxWriteRounds,
            " times -- pool degrades to in-core operation");
-  for (ErrorKind k : failed_kinds) publish_recovered(k);
+  for (ErrorKind k : failed_kinds) io::publish_recovered(k);
   return false;
 }
 
@@ -204,7 +197,7 @@ void SpillPool::page_in(const std::string& key, Entry& e) {
                     " has wrong size");
     ++rematerializations_;
     obs::metrics().counter("spill/rematerializations").inc();
-    publish_recovered(err.kind());
+    io::publish_recovered(err.kind());
     // Drop the bad file: the entry is dirty again and re-evicts via a
     // fresh verified write.
     tracker().on_free(Tag::kSpill, e.bytes);

@@ -14,8 +14,6 @@ const char* tag_name(Tag t) {
       return "mem/arena";
     case Tag::kSpill:
       return "mem/spill";
-    case Tag::kCheckpoint:
-      return "runtime/checkpoint";
     case Tag::kOther:
       return "other";
     case Tag::kCount:

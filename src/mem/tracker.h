@@ -37,7 +37,6 @@ enum class Tag : int {
   kFft,            ///< FFT plans and per-thread transform workspaces
   kArena,          ///< workspace arena slabs (mem/arena)
   kSpill,          ///< spill pool resident matrices (mem/spill)
-  kCheckpoint,     ///< checkpoint payload buffers (runtime/checkpoint)
   kOther,          ///< everything else routed through TrackedAllocator
   kCount
 };

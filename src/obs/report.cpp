@@ -9,8 +9,8 @@
 
 namespace xgw::obs {
 
-std::uint64_t fnv1a(std::string_view text) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
+std::uint64_t fnv1a(std::string_view text, std::uint64_t seed) {
+  std::uint64_t h = seed;
   for (char c : text) {
     h ^= static_cast<unsigned char>(c);
     h *= 0x100000001b3ull;

@@ -52,8 +52,13 @@ struct RunReportDoc {
   bool write(const std::string& path) const;
 };
 
-/// 64-bit FNV-1a — the config hash. Stable across platforms.
-std::uint64_t fnv1a(std::string_view text);
+/// 64-bit FNV-1a offset basis (the hash of the empty string).
+inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ull;
+
+/// 64-bit FNV-1a — the config hash, binio checksums, fault-schedule path
+/// keys and restart-item names. Stable across platforms. Pass a previous
+/// return value as `seed` to continue hashing over several buffers.
+std::uint64_t fnv1a(std::string_view text, std::uint64_t seed = kFnv1aBasis);
 std::string fnv1a_hex(std::string_view text);
 
 /// Builds the report from the recorder's current aggregate. When

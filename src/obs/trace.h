@@ -116,8 +116,8 @@ class TraceRecorder {
   void record_complete(const char* name, const char* cat, double ts_us,
                        double dur_us, const TraceCounters& counters,
                        std::string args);
-  /// Records an instant event on the calling thread's track ("checkpoint
-  /// written", "fault injected", ...).
+  /// Records an instant event on the calling thread's track ("io retry",
+  /// "fault injected", ...).
   void record_instant(const char* name, const char* cat, std::string args);
 
   /// FLOPs attributed while no span was open (e.g. from worker threads of

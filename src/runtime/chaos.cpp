@@ -66,7 +66,8 @@ ChaosReport run_ff_chaos(GwCalculation& gw, const ChaosSpec& spec) {
 
   // --- sigma band loop under compute faults ----------------------------
   // Bands are independent and one-at-a-time evaluation is bitwise
-  // identical to the batch (see sigma_diag_checkpointed), so a band stage
+  // identical to the batch (sigma_diag's per-band restart files rest on
+  // the same property), so a band stage
   // is the natural re-execution unit: a crashed or validation-rejected
   // attempt is simply re-run, and the retry reproduces the fault-free
   // bits. NaN-poisoned results are caught AT THE STAGE BOUNDARY — the

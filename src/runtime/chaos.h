@@ -5,7 +5,7 @@
 //
 // The strongest robustness claim this codebase makes is not "it survives
 // faults" but "it survives faults WITHOUT changing the physics": a run
-// whose spill pages are torn, whose checkpoint writes hit ENOSPC, and
+// whose spill pages are torn, whose spill writes hit ENOSPC, and
 // whose reads blip with EIO must still produce QP energies BITWISE
 // identical to the fault-free run. run_ff_chaos executes the full
 // epsilon -> sigma_ff pipeline (build_ff_screening under a memory budget

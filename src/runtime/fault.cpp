@@ -5,6 +5,7 @@
 
 #include "common/rng.h"
 #include "obs/metrics.h"
+#include "obs/report.h"
 #include "obs/trace.h"
 
 namespace xgw {
@@ -104,7 +105,7 @@ std::uint64_t io_stream_seed(std::uint64_t seed, const std::string& path,
                              std::uint64_t ordinal) {
   std::uint64_t s = seed;
   s ^= 0x9E3779B97F4A7C15ULL *
-       (io::fnv1a_bytes(path.data(), path.size()) | 1ULL);
+       (obs::fnv1a(path) | 1ULL);
   s ^= 0xBF58476D1CE4E5B9ULL * (ordinal + 1);
   return s;
 }

@@ -10,7 +10,7 @@
 // per (rank, attempt), whether that execution crashes, returns NaN-poisoned
 // output, or runs N x slow. Decisions depend only on (seed, rank, attempt),
 // never on execution order, so a given seed reproduces the same failure
-// pattern across reruns and across checkpoint resumes.
+// pattern across reruns and across restart resumes.
 
 #include <cstdint>
 #include <mutex>
@@ -85,7 +85,7 @@ struct IoFaultSpec {
   /// converges. <= 0 disables injection.
   int max_per_path = 2;
   /// Only inject on paths containing this substring ("" = all paths) —
-  /// targeted injection ("corrupt only the checkpoint", "only spill pages").
+  /// targeted injection ("corrupt only restart files", "only spill pages").
   std::string path_contains;
 
   bool enabled() const {
@@ -143,7 +143,7 @@ class FaultInjector {
 /// Deterministic storage-fault injector behind the io::IoHooks seam.
 ///
 /// Install with io::ScopedIoHooks (or set_io_hooks) and every binio / spill
-/// / checkpoint byte flows through it. Each operation on a path draws its
+/// / restart-file byte flows through it. Each operation on a path draws its
 /// fate from (seed, fnv1a(path), per-path op ordinal):
 ///   kTransient / kNoSpace -> classified xgw::Error thrown before bytes move
 ///   kTorn                 -> the write silently ends at a seeded fraction

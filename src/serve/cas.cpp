@@ -22,12 +22,6 @@ constexpr int kMaxCommitRounds = 4;
 constexpr const char* kIndexName = "cas-index.txt";
 constexpr const char* kIndexMagic = "xgw-cas-index-v1";
 
-void publish_recovered(ErrorKind k) {
-  obs::metrics()
-      .counter(std::string("fault/io/recovered/") + io::recovered_fault_name(k))
-      .add(1);
-}
-
 void count(const char* name) {
   obs::metrics().counter(std::string("serve/cas/") + name).add(1);
 }
@@ -54,30 +48,6 @@ const char* to_string(CasKind k) {
     case CasKind::kQpRow: return "qp";
   }
   return "?";
-}
-
-ZMatrix encode_qp(const QpResult& r) {
-  ZMatrix m(1, 5);
-  m(0, 0) = cplx(static_cast<double>(r.band), r.e_mf);
-  m(0, 1) = r.sigma.sx;
-  m(0, 2) = r.sigma.ch;
-  m(0, 3) = cplx(r.dsigma_de, r.z);
-  m(0, 4) = cplx(r.e_qp, 0.0);
-  return m;
-}
-
-QpResult decode_qp(const ZMatrix& m) {
-  XGW_REQUIRE_KIND(m.rows() == 1 && m.cols() == 5,
-                   "decode_qp: not a QP row", ErrorKind::kIoCorrupt);
-  QpResult r;
-  r.band = static_cast<idx>(m(0, 0).real());
-  r.e_mf = m(0, 0).imag();
-  r.sigma.sx = m(0, 1);
-  r.sigma.ch = m(0, 2);
-  r.dsigma_de = m(0, 3).real();
-  r.z = m(0, 3).imag();
-  r.e_qp = m(0, 4).real();
-  return r;
 }
 
 CasStore::CasStore(std::string dir, std::size_t disk_budget_bytes)
@@ -276,7 +246,7 @@ bool CasStore::commit_entry(
   }
   // Every observed failure ends handled — rewritten or degraded-to-uncached
   // — so it pairs with one recovered mark in the fault ledger.
-  for (ErrorKind k : failed) publish_recovered(k);
+  for (ErrorKind k : failed) io::publish_recovered(k);
   if (ok) {
     if (!failed.empty()) {
       ++stats_.rewrites;
@@ -345,7 +315,7 @@ void CasStore::drop_after_bad_read(const std::string& key, const Error& e) {
     count("corrupt");
     flush_index_locked();
   }
-  publish_recovered(e.kind());
+  io::publish_recovered(e.kind());
   ++stats_.misses;
   count("miss");
 }

@@ -132,9 +132,4 @@ class CasStore {
   std::map<std::string, Entry> entries_;
 };
 
-/// QP-row codec: a QpResult packed into a 1x5 complex row so it rides the
-/// binio matrix format (doubles round-trip bitwise).
-ZMatrix encode_qp(const QpResult& r);
-QpResult decode_qp(const ZMatrix& m);
-
 }  // namespace xgw::serve

@@ -42,13 +42,13 @@ namespace {
 
 /// Keys whose value can never change result bytes (runtime/observability
 /// knobs): silently stripped from the canonical spec, so a rerun with a
-/// checkpoint path or a different worker count hits the same entries. In
-/// particular `checkpoint`: a cached sub-result SUPERSEDES a checkpoint —
-/// the CAS restarts at per-band granularity, finer than the band-loop
-/// snapshot.
+/// checkpoint directory or a different worker count hits the same entries.
+/// In particular `checkpoint`: a cached sub-result SUPERSEDES a restart
+/// file — the CAS already restarts at per-band and per-frequency
+/// granularity.
 bool is_runtime_key(const std::string& k) {
   static const std::vector<std::string> runtime{
-      "checkpoint",      "checkpoint_every",     "trace",
+      "checkpoint",      "trace",
       "trace_detail",    "metrics",              "run_report",
       "peak_gflops",     "mem_gbps",             "spill_dir",
       "validate",        "io_retry_attempts",    "io_retry_backoff_ms",

@@ -1,57 +1,89 @@
-// Tests: checkpoint container format (CRC-32, atomic write-rename,
-// version / truncation / corruption rejection, previous-generation
-// fallback) and bitwise-identical resume of the epsilon frequency loop and
-// the sigma band loop after a simulated job kill.
+// Tests: per-item restart files (io/binio RestartKey, load_restart_item,
+// save_restart_item) and bitwise-identical resume of the epsilon frequency
+// loop and the sigma band loop after a simulated job kill, at one and four
+// scheduler workers, under storage faults and under changed physics.
+//
+// A job kill is simulated through the io::IoHooks seam: KillHook fails one
+// item's restart write with a non-storage error, so the loop dies there
+// the way a killed process never finishes that item.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <vector>
 
 #include "core/epsilon.h"
 #include "core/sigma.h"
+#include "io/binio.h"
 #include "io/iohooks.h"
 #include "obs/metrics.h"
-#include "runtime/checkpoint.h"
 #include "runtime/fault.h"
+#include "sched/executor.h"
 #include "test_helpers.h"
 
 namespace xgw {
 namespace {
 
-std::string temp_path(const char* name) {
-  return (std::filesystem::temp_directory_path() /
-          (std::string("xgw_ckpt_test_") + name))
-      .string();
-}
+namespace fs = std::filesystem;
 
-/// Removes the checkpoint and its .prev/.tmp siblings on scope exit.
-struct CkptGuard {
-  explicit CkptGuard(std::string p) : path(std::move(p)) {}
-  ~CkptGuard() { checkpoint_remove(path); }
+/// A fresh, empty restart directory, removed with its contents on scope exit.
+struct TempDir {
+  explicit TempDir(const char* name)
+      : path((fs::temp_directory_path() / (std::string("xgw_restart_") + name))
+                 .string()) {
+    fs::remove_all(path);
+    fs::create_directories(path);
+  }
+  ~TempDir() {
+    std::error_code ec;
+    fs::remove_all(path, ec);
+  }
   std::string path;
 };
 
-Checkpoint sample_checkpoint() {
-  CkptWriter w;
-  w.put_u32(0xDEADBEEFu);
-  w.put_i64(-42);
-  w.put_f64(3.5);
-  w.put_cplx(cplx{1.25, -0.5});
-  const std::vector<double> dv{0.0, 1.0, 2.5};
-  const std::vector<cplx> zv{cplx{0.5, 0.5}, cplx{-1.0, 2.0}};
-  w.put_span(std::span<const double>(dv));
-  w.put_span(std::span<const cplx>(zv));
+/// Pins the scheduler's default worker count for one scope.
+struct Workers {
+  explicit Workers(int n) { sched::Executor::set_default_workers(n); }
+  ~Workers() { sched::Executor::set_default_workers(0); }
+};
 
-  Checkpoint c;
-  c.stage = CheckpointStage::kCustom;
-  c.step = 3;
-  c.total = 10;
-  c.config_hash = 0x123456789ABCDEF0ULL;
-  c.payload = w.take();
-  return c;
+/// Fails the restart write of the first item whose path contains `needle`
+/// with a non-storage error (a simulated job kill). Every other operation
+/// is forwarded to `inner` (a fault injector, or nothing).
+class KillHook : public io::IoHooks {
+ public:
+  explicit KillHook(std::string needle, io::IoHooks* inner = nullptr)
+      : needle_(std::move(needle)), inner_(inner) {}
+
+  void before(const std::string& path, io::IoOp op, std::uint64_t offset,
+              std::size_t bytes) override {
+    if (op == io::IoOp::kOpenWrite && path.find(needle_) != std::string::npos)
+      throw Error("simulated job kill before writing '" + path + "'");
+    if (inner_) inner_->before(path, op, offset, bytes);
+  }
+  std::size_t on_write(const std::string& path, std::uint64_t offset,
+                       unsigned char* data, std::size_t n) override {
+    return inner_ ? inner_->on_write(path, offset, data, n) : n;
+  }
+
+ private:
+  std::string needle_;
+  io::IoHooks* inner_;
+};
+
+/// Names of the files in `dir`, sorted.
+std::vector<std::string> files_in(const std::string& dir) {
+  std::vector<std::string> out;
+  for (const auto& e : fs::directory_iterator(dir))
+    out.push_back(e.path().filename().string());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::uint64_t counter(const char* name) {
+  return obs::metrics().counter_value(name);
 }
 
 void corrupt_byte(const std::string& path, std::streamoff offset) {
@@ -65,368 +97,533 @@ void corrupt_byte(const std::string& path, std::streamoff offset) {
   f.write(&b, 1);
 }
 
-TEST(Crc32, MatchesIeeeCheckValue) {
-  // The canonical CRC-32 check value: crc32("123456789") = 0xCBF43926.
-  const char* s = "123456789";
-  EXPECT_EQ(crc32(s, 9), 0xCBF43926u);
-  // Streaming over split buffers must agree with one-shot.
-  const std::uint32_t part = crc32(s, 4);
-  EXPECT_EQ(crc32(s + 4, 5, part), 0xCBF43926u);
-  EXPECT_EQ(crc32(s, 0), 0u);
+ZMatrix sample_matrix(idx rows, idx cols) {
+  ZMatrix m(rows, cols);
+  for (idx i = 0; i < m.size(); ++i)
+    m.data()[i] = cplx(0.25 * static_cast<double>(i), -1.0 / (1.0 + i));
+  return m;
 }
 
+void expect_bitwise(const std::vector<ZMatrix>& got,
+                    const std::vector<ZMatrix>& ref) {
+  ASSERT_EQ(got.size(), ref.size());
+  for (std::size_t k = 0; k < ref.size(); ++k) {
+    ASSERT_EQ(got[k].rows(), ref[k].rows());
+    for (idx i = 0; i < ref[k].size(); ++i)
+      ASSERT_EQ(got[k].data()[i], ref[k].data()[i])
+          << "omega index " << k << ", element " << i;
+  }
+}
+
+void expect_bitwise(const std::vector<QpResult>& got,
+                    const std::vector<QpResult>& ref) {
+  ASSERT_EQ(got.size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    EXPECT_EQ(got[i].band, ref[i].band);
+    EXPECT_EQ(got[i].e_mf, ref[i].e_mf);
+    EXPECT_EQ(got[i].sigma.sx, ref[i].sigma.sx);
+    EXPECT_EQ(got[i].sigma.ch, ref[i].sigma.ch);
+    EXPECT_EQ(got[i].dsigma_de, ref[i].dsigma_de);
+    EXPECT_EQ(got[i].z, ref[i].z);
+    EXPECT_EQ(got[i].e_qp, ref[i].e_qp);
+  }
+}
+
+// --- one restart file ------------------------------------------------------
+
 TEST(Checkpoint, RoundTripExact) {
-  const std::string path = temp_path("roundtrip.ckpt");
-  CkptGuard guard(path);
-  const Checkpoint c = sample_checkpoint();
-  checkpoint_save(path, c);
+  TempDir dir("roundtrip");
+  const std::string path =
+      restart_item_path(dir.path, "eps-0", RestartKey().add(1.5));
+  const ZMatrix m = sample_matrix(4, 4);
+  const std::uint64_t writes = counter("checkpoint.writes");
+  const std::uint64_t bytes = counter("checkpoint.bytes");
+  const std::uint64_t loads = counter("checkpoint.loads");
+  save_restart_item(path, m);
+  EXPECT_EQ(counter("checkpoint.writes"), writes + 1);
+  EXPECT_EQ(counter("checkpoint.bytes"), bytes + matrix_file_bytes(4, 4));
+  EXPECT_EQ(fs::file_size(path), matrix_file_bytes(4, 4));
 
-  const Checkpoint back = checkpoint_load_strict(path);
-  EXPECT_EQ(back.stage, c.stage);
-  EXPECT_EQ(back.step, c.step);
-  EXPECT_EQ(back.total, c.total);
-  EXPECT_EQ(back.config_hash, c.config_hash);
-  ASSERT_EQ(back.payload, c.payload);
+  const std::optional<ZMatrix> back = load_restart_item(path, 4, 4);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(counter("checkpoint.loads"), loads + 1);
+  for (idx i = 0; i < m.size(); ++i) EXPECT_EQ(back->data()[i], m.data()[i]);
 
-  CkptReader r(back.payload);
-  EXPECT_EQ(r.get_u32(), 0xDEADBEEFu);
-  EXPECT_EQ(r.get_i64(), -42);
-  EXPECT_EQ(r.get_f64(), 3.5);
-  EXPECT_EQ(r.get_cplx(), (cplx{1.25, -0.5}));
-  std::vector<double> dv(3);
-  r.get_span(std::span<double>(dv));
-  EXPECT_EQ(dv, (std::vector<double>{0.0, 1.0, 2.5}));
-  std::vector<cplx> zv(2);
-  r.get_span(std::span<cplx>(zv));
-  EXPECT_EQ(zv[1], (cplx{-1.0, 2.0}));
-  EXPECT_TRUE(r.exhausted());
+  // A Sigma band item: one QP row through the encode_qp codec.
+  QpResult r;
+  r.band = 3;
+  r.e_mf = 0.3854213698471126;
+  r.sigma.sx = cplx(-0.034, 1e-17);
+  r.sigma.ch = cplx(-0.2658441172956, -3e-9);
+  r.dsigma_de = -0.350694;
+  r.z = 0.740348538175915;
+  r.e_qp = 0.16321117264590416;
+  const std::string row =
+      restart_item_path(dir.path, "sigma-3", RestartKey().add(r.band));
+  save_restart_item(row, encode_qp(r));
+  const std::optional<ZMatrix> got = load_restart_item(row, 1, 5);
+  ASSERT_TRUE(got.has_value());
+  expect_bitwise({decode_qp(*got)}, {r});
 }
 
 TEST(Checkpoint, ReaderRejectsOverrun) {
-  CkptWriter w;
-  w.put_u32(7);
-  const CkptBuffer buf = w.take();
-  CkptReader r(buf);
-  EXPECT_EQ(r.get_u32(), 7u);
-  EXPECT_THROW(r.get_i64(), Error);  // truncated payloads fail loudly
-}
-
-TEST(Checkpoint, AtomicSaveLeavesNoTmpAndKeepsPrev) {
-  const std::string path = temp_path("atomic.ckpt");
-  CkptGuard guard(path);
-  Checkpoint c = sample_checkpoint();
-  c.step = 1;
-  checkpoint_save(path, c);
-  EXPECT_TRUE(std::filesystem::exists(path));
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
-  EXPECT_FALSE(std::filesystem::exists(path + ".prev"));
-
-  c.step = 2;
-  checkpoint_save(path, c);
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
-  EXPECT_TRUE(std::filesystem::exists(path + ".prev"));
-  EXPECT_EQ(checkpoint_load_strict(path).step, 2);
-  EXPECT_EQ(checkpoint_load_strict(path + ".prev").step, 1);
+  // A QP row is exactly five complex slots; anything else is not a record.
+  EXPECT_THROW(decode_qp(ZMatrix(1, 4)), Error);
+  EXPECT_THROW(decode_qp(ZMatrix(5, 1)), Error);
+  EXPECT_NO_THROW(decode_qp(ZMatrix(1, 5)));
 }
 
 TEST(Checkpoint, MissingFileLoadsNothing) {
-  EXPECT_FALSE(checkpoint_load(temp_path("never_written.ckpt")).has_value());
-  EXPECT_THROW(checkpoint_load_strict(temp_path("never_written.ckpt")),
-               Error);
+  TempDir dir("missing");
+  const std::uint64_t torn = counter("fault/io/recovered/torn");
+  const std::uint64_t flip = counter("fault/io/recovered/bitflip");
+  EXPECT_FALSE(load_restart_item(dir.path + "/never_written.bin", 2, 2));
+  // A missing item is simply not done yet: no fault to account.
+  EXPECT_EQ(counter("fault/io/recovered/torn"), torn);
+  EXPECT_EQ(counter("fault/io/recovered/bitflip"), flip);
 }
 
 TEST(Checkpoint, VersionMismatchRejected) {
-  const std::string path = temp_path("version.ckpt");
-  CkptGuard guard(path);
-  checkpoint_save(path, sample_checkpoint());
-  // version u32 sits right after the 4-byte magic.
-  corrupt_byte(path, 4);
-  EXPECT_THROW(checkpoint_load_strict(path), Error);
-  EXPECT_FALSE(checkpoint_load(path).has_value());
+  TempDir dir("version");
+  // A file of the retired XGWC checkpoint container is not read.
+  const std::string old = dir.path + "/eps-0-old.bin";
+  {
+    std::ofstream f(old, std::ios::binary);
+    const char header[48] = {'X', 'G', 'W', 'C', 1};
+    f.write(header, sizeof(header));
+  }
+  EXPECT_FALSE(load_restart_item(old, 15, 15));
+  EXPECT_FALSE(fs::exists(old));
+
+  // Nor is a binio file of the wrong shape (same byte count, 5x1 not 1x5).
+  const std::string row = dir.path + "/sigma-2-shape.bin";
+  write_matrix(row, sample_matrix(5, 1));
+  EXPECT_FALSE(load_restart_item(row, 1, 5));
+  EXPECT_FALSE(fs::exists(row));
 }
 
 TEST(Checkpoint, TruncationDetected) {
-  const std::string path = temp_path("trunc.ckpt");
-  CkptGuard guard(path);
-  checkpoint_save(path, sample_checkpoint());
-  const auto full = std::filesystem::file_size(path);
-  std::filesystem::resize_file(path, full - 7);
-  EXPECT_THROW(checkpoint_load_strict(path), Error);
-  EXPECT_FALSE(checkpoint_load(path).has_value());
-  // Even losing a single trailing byte (half the CRC) must be caught.
-  checkpoint_save(path, sample_checkpoint());
-  std::filesystem::resize_file(path, full - 1);
-  EXPECT_THROW(checkpoint_load_strict(path), Error);
+  TempDir dir("trunc");
+  const std::string path = dir.path + "/eps-0-trunc.bin";
+  for (std::uintmax_t cut : {7u, 1u}) {
+    save_restart_item(path, sample_matrix(3, 3));
+    fs::resize_file(path, matrix_file_bytes(3, 3) - cut);
+    const std::uint64_t torn = counter("fault/io/recovered/torn");
+    EXPECT_FALSE(load_restart_item(path, 3, 3)) << "cut " << cut;
+    EXPECT_EQ(counter("fault/io/recovered/torn"), torn + 1);
+    EXPECT_FALSE(fs::exists(path));  // never re-read on the next resume
+  }
 }
 
 TEST(Checkpoint, PayloadBitFlipDetected) {
-  const std::string path = temp_path("bitflip.ckpt");
-  CkptGuard guard(path);
-  const Checkpoint c = sample_checkpoint();
-  checkpoint_save(path, c);
-  // Flip one payload bit (payload starts after the 48-byte header).
-  corrupt_byte(path, 48 + static_cast<std::streamoff>(c.payload.size()) / 2);
-  EXPECT_THROW(checkpoint_load_strict(path), Error);
-  EXPECT_FALSE(checkpoint_load(path).has_value());
-}
-
-TEST(Checkpoint, CorruptPrimaryFallsBackToPrev) {
-  const std::string path = temp_path("fallback.ckpt");
-  CkptGuard guard(path);
-  Checkpoint c = sample_checkpoint();
-  c.step = 1;
-  checkpoint_save(path, c);
-  c.step = 2;
-  checkpoint_save(path, c);  // step-1 generation preserved as .prev
-  corrupt_byte(path, 48);    // newest file damaged after the fact
-
-  const auto back = checkpoint_load(path);
-  ASSERT_TRUE(back.has_value());  // degraded load: one generation back
-  EXPECT_EQ(back->step, 1);
-  EXPECT_THROW(checkpoint_load_strict(path), Error);
+  TempDir dir("bitflip");
+  const std::string path = dir.path + "/eps-0-flip.bin";
+  save_restart_item(path, sample_matrix(3, 3));
+  corrupt_byte(path, 32 + 40);  // inside the payload, after the header
+  const std::uint64_t flip = counter("fault/io/recovered/bitflip");
+  EXPECT_FALSE(load_restart_item(path, 3, 3));
+  EXPECT_EQ(counter("fault/io/recovered/bitflip"), flip + 1);
 }
 
 TEST(Checkpoint, FallbackPublishesRecoveryMetrics) {
-  const std::string path = temp_path("fallback_obs.ckpt");
-  CkptGuard guard(path);
-  Checkpoint c = sample_checkpoint();
-  c.step = 1;
-  checkpoint_save(path, c);
-  c.step = 2;
-  checkpoint_save(path, c);
-  corrupt_byte(path, 48);  // payload flip -> CRC mismatch -> kIoCorrupt
-
-  const std::uint64_t fallback_before =
-      obs::metrics().counter_value("checkpoint/fallback");
-  const std::uint64_t recovered_before =
-      obs::metrics().counter_value("fault/io/recovered/bitflip");
-  const auto back = checkpoint_load(path);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->step, 1);
-  // The generation walk is itself a recovery: the fallback event fires AND
-  // the corruption it neutralized is accounted under fault/io/recovered/*.
-  EXPECT_EQ(obs::metrics().counter_value("checkpoint/fallback"),
-            fallback_before + 1);
-  EXPECT_EQ(obs::metrics().counter_value("fault/io/recovered/bitflip"),
-            recovered_before + 1);
+  // Each damaged file falls back to recomputing its item and is accounted
+  // exactly once, whether it is read once or the run is resumed again.
+  TempDir dir("fallback_obs");
+  const std::string a = dir.path + "/eps-0-a.bin";
+  const std::string b = dir.path + "/eps-1-b.bin";
+  save_restart_item(a, sample_matrix(2, 2));
+  save_restart_item(b, sample_matrix(2, 2));
+  corrupt_byte(a, 40);
+  fs::resize_file(b, 20);
+  const std::uint64_t flip = counter("fault/io/recovered/bitflip");
+  const std::uint64_t torn = counter("fault/io/recovered/torn");
+  for (int resume = 0; resume < 2; ++resume) {
+    EXPECT_FALSE(load_restart_item(a, 2, 2));
+    EXPECT_FALSE(load_restart_item(b, 2, 2));
+  }
+  EXPECT_EQ(counter("fault/io/recovered/bitflip"), flip + 1);
+  EXPECT_EQ(counter("fault/io/recovered/torn"), torn + 1);
 }
 
 TEST(Checkpoint, BestEffortSaveSkipsOnNoSpaceAndKeepsOldGeneration) {
-  const std::string path = temp_path("besteffort.ckpt");
-  CkptGuard guard(path);
-  Checkpoint c = sample_checkpoint();
-  c.step = 1;
-  EXPECT_TRUE(checkpoint_save_best_effort(path, c, "test"));
+  TempDir dir("besteffort");
+  const std::string kept = dir.path + "/eps-0-kept.bin";
+  const std::string full = dir.path + "/eps-1-full.bin";
+  save_restart_item(kept, sample_matrix(2, 2));
 
   IoFaultSpec spec;
   spec.seed = 21;
-  spec.p_nospace = 1.0;  // the checkpoint filesystem is full
+  spec.p_nospace = 1.0;  // the restart filesystem is full for this file
   spec.max_per_path = 100;
-  spec.path_contains = "besteffort";
+  spec.path_contains = "eps-1-full";
   IoFaultInjector inj(spec);
-  const std::uint64_t skipped_before =
-      obs::metrics().counter_value("checkpoint/skipped");
-  c.step = 2;
+  const std::uint64_t skipped = counter("checkpoint/skipped");
+  const std::uint64_t injected = counter("fault/io/injected/nospace");
+  const std::uint64_t recovered = counter("fault/io/recovered/nospace");
   {
     io::ScopedIoHooks hooks(&inj);
-    EXPECT_FALSE(checkpoint_save_best_effort(path, c, "test"));
+    EXPECT_NO_THROW(save_restart_item(full, sample_matrix(2, 2)));
   }
-  EXPECT_EQ(obs::metrics().counter_value("checkpoint/skipped"),
-            skipped_before + 1);
-  // Restart coverage degrades (resumes at step 1), it does not vanish.
-  EXPECT_EQ(checkpoint_load_strict(path).step, 1);
+  EXPECT_EQ(counter("checkpoint/skipped"), skipped + 1);
+  EXPECT_EQ(counter("fault/io/injected/nospace") - injected,
+            counter("fault/io/recovered/nospace") - recovered);
+  EXPECT_FALSE(fs::exists(full));
+  // Restart coverage degrades by one item; the items already written stay.
+  EXPECT_TRUE(load_restart_item(kept, 2, 2).has_value());
 }
 
 TEST(Checkpoint, RemoveCleansAllGenerations) {
-  const std::string path = temp_path("remove.ckpt");
-  Checkpoint c = sample_checkpoint();
-  checkpoint_save(path, c);
-  checkpoint_save(path, c);
-  checkpoint_remove(path);
-  EXPECT_FALSE(std::filesystem::exists(path));
-  EXPECT_FALSE(std::filesystem::exists(path + ".prev"));
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  // A completed loop removes every item file it owns, and only those.
+  GwCalculation& gw = testutil::si_prim_gw();
+  TempDir dir("remove");
+  const std::string foreign = dir.path + "/notes.txt";
+  std::ofstream(foreign) << "not a restart item\n";
+  const std::vector<double> omegas = {0.0, 0.1, 0.2};
+  const std::uint64_t writes = counter("checkpoint.writes");
+  epsilon_inverse_multi(gw.mtxel(), gw.wavefunctions(), gw.coulomb(),
+                        std::span<const double>(omegas), {}, dir.path);
+  gw.sigma_diag({2, 3}, 3, 0.02, GppKernelVariant::kOptimized, nullptr,
+                dir.path);
+  EXPECT_EQ(counter("checkpoint.writes"), writes + 5);  // 3 freqs + 2 bands
+  EXPECT_EQ(files_in(dir.path), std::vector<std::string>{"notes.txt"});
 }
 
 // --- resume acceptance: interrupted loops restart bitwise ----------------
 
-TEST(CheckpointResume, EpsilonFrequencyLoopResumesBitwise) {
+/// Kills the epsilon sweep at frequency `kill_at` under `workers` workers,
+/// then resumes it and checks the result and the files it loaded.
+void epsilon_kill_and_resume(int workers, idx kill_at, const char* name) {
   GwCalculation& gw = testutil::si_prim_gw();
-  const Mtxel& mtxel = gw.mtxel();
-  const Wavefunctions& wf = gw.wavefunctions();
   const std::vector<double> omegas = {0.0, 0.08, 0.16, 0.24, 0.32};
   ChiOptions copt;
   copt.nv_block = 2;
+  Workers w(workers);
 
-  // Ground truth: the uninterrupted, checkpoint-free sweep.
-  const std::vector<ZMatrix> ref = epsilon_inverse_multi(
-      mtxel, wf, gw.coulomb(), std::span<const double>(omegas), copt);
+  // Ground truth: the uninterrupted sweep without restart files.
+  const std::vector<ZMatrix> ref =
+      epsilon_inverse_multi(gw.mtxel(), gw.wavefunctions(), gw.coulomb(),
+                            std::span<const double>(omegas), copt);
 
-  const std::string path = temp_path("eps_resume.ckpt");
-  CkptGuard guard(path);
-  EpsilonLoopOptions loop;
-  loop.checkpoint_path = path;
-  loop.abort_after = 2;  // job killed after two frequencies
-  EXPECT_THROW(epsilon_inverse_multi(mtxel, wf, gw.coulomb(),
-                                     std::span<const double>(omegas), copt,
-                                     loop),
-               Error);
-  ASSERT_TRUE(std::filesystem::exists(path));
-  EXPECT_EQ(checkpoint_load_strict(path).step, 2);
+  TempDir dir(name);
+  {
+    KillHook kill("eps-" + std::to_string(kill_at) + "-");
+    io::ScopedIoHooks hooks(&kill);
+    EXPECT_THROW(epsilon_inverse_multi(gw.mtxel(), gw.wavefunctions(),
+                                       gw.coulomb(),
+                                       std::span<const double>(omegas), copt,
+                                       dir.path),
+                 Error);
+  }
+  const std::size_t survived = files_in(dir.path).size();
+  if (workers == 1) {
+    EXPECT_EQ(survived, static_cast<std::size_t>(kill_at));
+  }
+  EXPECT_LT(survived, omegas.size());
 
-  // Restarted run: resumes at frequency 2 and completes.
-  loop.abort_after = -1;
-  const std::vector<ZMatrix> resumed = epsilon_inverse_multi(
-      mtxel, wf, gw.coulomb(), std::span<const double>(omegas), copt, loop);
-
-  ASSERT_EQ(resumed.size(), ref.size());
-  for (std::size_t k = 0; k < ref.size(); ++k)
-    for (idx i = 0; i < ref[k].size(); ++i)
-      ASSERT_EQ(resumed[k].data()[i], ref[k].data()[i])
-          << "omega index " << k << ", element " << i;
+  // Restarted run: loads every surviving frequency, computes the rest.
+  const std::uint64_t loads = counter("checkpoint.loads");
+  const std::vector<ZMatrix> resumed =
+      epsilon_inverse_multi(gw.mtxel(), gw.wavefunctions(), gw.coulomb(),
+                            std::span<const double>(omegas), copt, dir.path);
+  EXPECT_EQ(counter("checkpoint.loads") - loads, survived);
+  expect_bitwise(resumed, ref);
   // Successful completion cleans up the restart files.
-  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_TRUE(files_in(dir.path).empty());
 }
 
-// Same interrupted-sweep story, but with the frequency loop running on
-// four scheduler workers: the serial commit chain must keep checkpoint
-// prefixes exact (abort_after = 2 means exactly frequencies 0 and 1 are
-// committed, never a later one that finished computing early) and the
-// resumed results bitwise.
+TEST(CheckpointResume, EpsilonFrequencyLoopResumesBitwise) {
+  epsilon_kill_and_resume(1, 2, "eps_resume");
+}
+
+// The same interrupted sweep with the frequencies running on four
+// scheduler workers: whichever frequencies finished before the kill are
+// resumed from, in any combination, and the result is still bitwise.
 TEST(CheckpointResume, EpsilonFrequencyLoopResumesBitwiseAtFourWorkers) {
+  epsilon_kill_and_resume(4, 2, "eps_resume_w4");
+}
+
+TEST(CheckpointResume, EpsilonResumesFromAnySubsetOfItemFiles) {
   GwCalculation& gw = testutil::si_prim_gw();
-  const Mtxel& mtxel = gw.mtxel();
-  const Wavefunctions& wf = gw.wavefunctions();
   const std::vector<double> omegas = {0.0, 0.08, 0.16, 0.24, 0.32};
-  ChiOptions copt;
-  copt.nv_block = 2;
-
-  const std::vector<ZMatrix> ref = epsilon_inverse_multi(
-      mtxel, wf, gw.coulomb(), std::span<const double>(omegas), copt);
-
-  const std::string path = temp_path("eps_resume_w4.ckpt");
-  CkptGuard guard(path);
-  EpsilonLoopOptions loop;
-  loop.checkpoint_path = path;
-  loop.workers = 4;
-  loop.abort_after = 2;
-  EXPECT_THROW(epsilon_inverse_multi(mtxel, wf, gw.coulomb(),
-                                     std::span<const double>(omegas), copt,
-                                     loop),
-               Error);
-  ASSERT_TRUE(std::filesystem::exists(path));
-  EXPECT_EQ(checkpoint_load_strict(path).step, 2);
-
-  loop.abort_after = -1;
-  const std::vector<ZMatrix> resumed = epsilon_inverse_multi(
-      mtxel, wf, gw.coulomb(), std::span<const double>(omegas), copt, loop);
-
-  ASSERT_EQ(resumed.size(), ref.size());
-  for (std::size_t k = 0; k < ref.size(); ++k)
-    for (idx i = 0; i < ref[k].size(); ++i)
-      ASSERT_EQ(resumed[k].data()[i], ref[k].data()[i])
-          << "omega index " << k << ", element " << i;
-  EXPECT_FALSE(std::filesystem::exists(path));
+  Workers w(1);
+  const std::vector<ZMatrix> ref =
+      epsilon_inverse_multi(gw.mtxel(), gw.wavefunctions(), gw.coulomb(),
+                            std::span<const double>(omegas));
+  TempDir dir("eps_subset");
+  {
+    KillHook kill("eps-4-");
+    io::ScopedIoHooks hooks(&kill);
+    EXPECT_THROW(epsilon_inverse_multi(gw.mtxel(), gw.wavefunctions(),
+                                       gw.coulomb(),
+                                       std::span<const double>(omegas), {},
+                                       dir.path),
+                 Error);
+  }
+  std::vector<std::string> files = files_in(dir.path);
+  ASSERT_EQ(files.size(), 4u);
+  fs::remove(fs::path(dir.path) / files[0]);  // drop frequencies 0 and 2
+  fs::remove(fs::path(dir.path) / files[2]);
+  const std::uint64_t loads = counter("checkpoint.loads");
+  expect_bitwise(
+      epsilon_inverse_multi(gw.mtxel(), gw.wavefunctions(), gw.coulomb(),
+                            std::span<const double>(omegas), {}, dir.path),
+      ref);
+  EXPECT_EQ(counter("checkpoint.loads") - loads, 2u);
 }
 
 TEST(CheckpointResume, EpsilonConfigChangeStartsFresh) {
   GwCalculation& gw = testutil::si_prim_gw();
-  const Mtxel& mtxel = gw.mtxel();
-  const Wavefunctions& wf = gw.wavefunctions();
   ChiOptions copt;
   copt.nv_block = 2;
-
-  const std::string path = temp_path("eps_cfg.ckpt");
-  CkptGuard guard(path);
+  TempDir dir("eps_cfg");
   const std::vector<double> grid_a = {0.0, 0.1, 0.2};
-  EpsilonLoopOptions loop;
-  loop.checkpoint_path = path;
-  loop.abort_after = 1;
-  EXPECT_THROW(epsilon_inverse_multi(mtxel, wf, gw.coulomb(),
-                                     std::span<const double>(grid_a), copt,
-                                     loop),
-               Error);
+  {
+    KillHook kill("eps-2-");
+    io::ScopedIoHooks hooks(&kill);
+    EXPECT_THROW(epsilon_inverse_multi(gw.mtxel(), gw.wavefunctions(),
+                                       gw.coulomb(),
+                                       std::span<const double>(grid_a), copt,
+                                       dir.path),
+                 Error);
+  }
 
-  // A different frequency grid must NOT splice in the stale checkpoint.
-  const std::vector<double> grid_b = {0.0, 0.05, 0.2};
-  loop.abort_after = -1;
-  const std::vector<ZMatrix> fresh = epsilon_inverse_multi(
-      mtxel, wf, gw.coulomb(), std::span<const double>(grid_b), copt, loop);
-  const std::vector<ZMatrix> ref = epsilon_inverse_multi(
-      mtxel, wf, gw.coulomb(), std::span<const double>(grid_b), copt);
-  for (std::size_t k = 0; k < ref.size(); ++k)
-    for (idx i = 0; i < ref[k].size(); ++i)
-      ASSERT_EQ(fresh[k].data()[i], ref[k].data()[i]);
+  // A different frequency grid must NOT splice in the stale items.
+  const std::vector<double> grid_b = {0.05, 0.15, 0.2};
+  const std::vector<ZMatrix> fresh =
+      epsilon_inverse_multi(gw.mtxel(), gw.wavefunctions(), gw.coulomb(),
+                            std::span<const double>(grid_b), copt, dir.path);
+  const std::vector<ZMatrix> ref =
+      epsilon_inverse_multi(gw.mtxel(), gw.wavefunctions(), gw.coulomb(),
+                            std::span<const double>(grid_b), copt);
+  expect_bitwise(fresh, ref);
+}
+
+// The restart identity covers the physics: a sweep killed at one
+// broadening and resumed at another must equal a fresh run at the new one.
+TEST(CheckpointResume, EpsilonResumeUnderChangedEtaMatchesFreshRun) {
+  GwCalculation& gw = testutil::si_prim_gw();
+  const std::vector<double> omegas = {0.0, 0.1, 0.2};
+  ChiOptions before;
+  before.eta = 1e-3;
+  ChiOptions after = before;
+  after.eta = 5e-2;
+  Workers w(1);
+  TempDir dir("eps_eta");
+  {
+    KillHook kill("eps-2-");
+    io::ScopedIoHooks hooks(&kill);
+    EXPECT_THROW(epsilon_inverse_multi(gw.mtxel(), gw.wavefunctions(),
+                                       gw.coulomb(),
+                                       std::span<const double>(omegas), before,
+                                       dir.path),
+                 Error);
+  }
+  ASSERT_EQ(files_in(dir.path).size(), 2u);
+
+  const std::vector<ZMatrix> fresh =
+      epsilon_inverse_multi(gw.mtxel(), gw.wavefunctions(), gw.coulomb(),
+                            std::span<const double>(omegas), after);
+  const std::vector<ZMatrix> stale =
+      epsilon_inverse_multi(gw.mtxel(), gw.wavefunctions(), gw.coulomb(),
+                            std::span<const double>(omegas), before);
+  ASSERT_NE(fresh[0](0, 0), stale[0](0, 0));  // eta really moves the bits
+  const std::uint64_t loads = counter("checkpoint.loads");
+  expect_bitwise(
+      epsilon_inverse_multi(gw.mtxel(), gw.wavefunctions(), gw.coulomb(),
+                            std::span<const double>(omegas), after, dir.path),
+      fresh);
+  EXPECT_EQ(counter("checkpoint.loads"), loads);
+}
+
+/// Kills the band loop at band `kill_band` under `workers` workers, then
+/// resumes it and checks the result and the files it loaded.
+void sigma_kill_and_resume(int workers, idx kill_band, const char* name) {
+  GwCalculation& gw = testutil::si_prim_gw();
+  const std::vector<idx> bands = {2, 3, 4, 5};
+  Workers w(workers);
+  const std::vector<QpResult> ref = gw.sigma_diag(bands, 3, 0.02);
+
+  TempDir dir(name);
+  {
+    KillHook kill("sigma-" + std::to_string(kill_band) + "-");
+    io::ScopedIoHooks hooks(&kill);
+    EXPECT_THROW(gw.sigma_diag(bands, 3, 0.02, GppKernelVariant::kOptimized,
+                               nullptr, dir.path),
+                 Error);
+  }
+  const std::size_t survived = files_in(dir.path).size();
+  if (workers == 1) {
+    EXPECT_EQ(survived, 2u);  // bands 2 and 3
+  }
+  EXPECT_LT(survived, bands.size());
+
+  const std::uint64_t loads = counter("checkpoint.loads");
+  const std::vector<QpResult> resumed = gw.sigma_diag(
+      bands, 3, 0.02, GppKernelVariant::kOptimized, nullptr, dir.path);
+  EXPECT_EQ(counter("checkpoint.loads") - loads, survived);
+  expect_bitwise(resumed, ref);
+  EXPECT_TRUE(files_in(dir.path).empty());
 }
 
 TEST(CheckpointResume, SigmaBandLoopResumesBitwise) {
-  GwCalculation& gw = testutil::si_prim_gw();
-  const std::vector<idx> bands = {2, 3, 4, 5};
-  const idx n_e = 3;
-  const double e_step = 0.02;
-
-  // Ground truth from the plain batched call.
-  const std::vector<QpResult> ref = gw.sigma_diag(bands, n_e, e_step);
-
-  const std::string path = temp_path("sigma_resume.ckpt");
-  CkptGuard guard(path);
-  GwCalculation::CheckpointOptions ckpt;
-  ckpt.path = path;
-  ckpt.abort_after = 2;  // killed after two bands
-  EXPECT_THROW(gw.sigma_diag_checkpointed(bands, n_e, e_step, ckpt), Error);
-  ASSERT_TRUE(std::filesystem::exists(path));
-
-  ckpt.abort_after = -1;
-  const std::vector<QpResult> resumed =
-      gw.sigma_diag_checkpointed(bands, n_e, e_step, ckpt);
-
-  ASSERT_EQ(resumed.size(), ref.size());
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    EXPECT_EQ(resumed[i].band, ref[i].band);
-    EXPECT_EQ(resumed[i].e_mf, ref[i].e_mf);
-    EXPECT_EQ(resumed[i].sigma.sx, ref[i].sigma.sx);
-    EXPECT_EQ(resumed[i].sigma.ch, ref[i].sigma.ch);
-    EXPECT_EQ(resumed[i].dsigma_de, ref[i].dsigma_de);
-    EXPECT_EQ(resumed[i].z, ref[i].z);
-    EXPECT_EQ(resumed[i].e_qp, ref[i].e_qp);
-  }
-  EXPECT_FALSE(std::filesystem::exists(path));
+  sigma_kill_and_resume(1, 4, "sigma_resume");
 }
 
-TEST(CheckpointResume, SigmaLoopResumesFromPrevWhenLatestCorrupted) {
-  // The full degraded-restart story: the newest checkpoint generation is
-  // damaged at rest, the loader walks back to `.prev` (publishing the
-  // fallback event), and the sigma band loop resumes from the older step —
-  // recomputing one extra band, changing no bits.
+TEST(CheckpointResume, SigmaBandLoopResumesBitwiseAtFourWorkers) {
+  sigma_kill_and_resume(4, 4, "sigma_resume_w4");
+}
+
+TEST(CheckpointResume, SigmaLoopRecomputesOnlyTheCorruptedBand) {
+  // One band file is damaged at rest: the resumed loop loads the others,
+  // recomputes that band alone (publishing one recovered mark) and changes
+  // no bits.
   GwCalculation& gw = testutil::si_prim_gw();
   const std::vector<idx> bands = {2, 3, 4, 5};
-  const idx n_e = 3;
-  const double e_step = 0.02;
-  const std::vector<QpResult> ref = gw.sigma_diag(bands, n_e, e_step);
+  Workers w(1);
+  const std::vector<QpResult> ref = gw.sigma_diag(bands, 3, 0.02);
 
-  const std::string path = temp_path("sigma_prev_resume.ckpt");
-  CkptGuard guard(path);
-  GwCalculation::CheckpointOptions ckpt;
-  ckpt.path = path;
-  ckpt.abort_after = 2;  // two saves: latest = step 2, .prev = step 1
-  EXPECT_THROW(gw.sigma_diag_checkpointed(bands, n_e, e_step, ckpt), Error);
-  ASSERT_TRUE(std::filesystem::exists(path + ".prev"));
-  corrupt_byte(path, 48);  // newest generation damaged at rest
+  TempDir dir("sigma_corrupt");
+  {
+    KillHook kill("sigma-5-");
+    io::ScopedIoHooks hooks(&kill);
+    EXPECT_THROW(gw.sigma_diag(bands, 3, 0.02, GppKernelVariant::kOptimized,
+                               nullptr, dir.path),
+                 Error);
+  }
+  const std::vector<std::string> files = files_in(dir.path);
+  ASSERT_EQ(files.size(), 3u);
+  corrupt_byte((fs::path(dir.path) / files[1]).string(), 40);
 
-  const std::uint64_t fallback_before =
-      obs::metrics().counter_value("checkpoint/fallback");
-  ckpt.abort_after = -1;
-  const std::vector<QpResult> resumed =
-      gw.sigma_diag_checkpointed(bands, n_e, e_step, ckpt);
-  EXPECT_EQ(obs::metrics().counter_value("checkpoint/fallback"),
-            fallback_before + 1);
+  const std::uint64_t flip = counter("fault/io/recovered/bitflip");
+  const std::uint64_t loads = counter("checkpoint.loads");
+  expect_bitwise(gw.sigma_diag(bands, 3, 0.02, GppKernelVariant::kOptimized,
+                               nullptr, dir.path),
+                 ref);
+  EXPECT_EQ(counter("fault/io/recovered/bitflip"), flip + 1);
+  EXPECT_EQ(counter("checkpoint.loads") - loads, 2u);
+}
 
-  ASSERT_EQ(resumed.size(), ref.size());
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    EXPECT_EQ(resumed[i].sigma.sx, ref[i].sigma.sx);
-    EXPECT_EQ(resumed[i].sigma.ch, ref[i].sigma.ch);
-    EXPECT_EQ(resumed[i].z, ref[i].z);
-    EXPECT_EQ(resumed[i].e_qp, ref[i].e_qp);
+TEST(CheckpointResume, SigmaResumeUnderChangedEtaMatchesFreshRun) {
+  GwParameters p;
+  p.eps_cutoff = 0.9;
+  p.eta = 1e-3;
+  GwCalculation killed(EpmModel::silicon(1), p);
+  p.eta = 5e-2;
+  GwCalculation resumed(EpmModel::silicon(1), p);
+  GwCalculation fresh(EpmModel::silicon(1), p);
+  const std::vector<idx> bands = {2, 3, 4, 5};
+  Workers w(1);
+
+  TempDir dir("sigma_eta");
+  {
+    KillHook kill("sigma-4-");
+    io::ScopedIoHooks hooks(&kill);
+    EXPECT_THROW(killed.sigma_diag(bands, 3, 0.02,
+                                   GppKernelVariant::kOptimized, nullptr,
+                                   dir.path),
+                 Error);
+  }
+  ASSERT_EQ(files_in(dir.path).size(), 2u);
+
+  const std::vector<QpResult> ref = fresh.sigma_diag(bands, 3, 0.02);
+  ASSERT_NE(ref[0].e_qp, killed.sigma_diag({2}, 3, 0.02)[0].e_qp);
+  const std::uint64_t loads = counter("checkpoint.loads");
+  expect_bitwise(resumed.sigma_diag(bands, 3, 0.02,
+                                    GppKernelVariant::kOptimized, nullptr,
+                                    dir.path),
+                 ref);
+  EXPECT_EQ(counter("checkpoint.loads"), loads);
+}
+
+// --- the fault ledger ------------------------------------------------------
+
+/// Runs a killed-then-resumed epsilon sweep whose restart write of
+/// frequency 1 is damaged by an injected `kind` fault; the resume must
+/// recompute that frequency alone and balance the ledger.
+void epsilon_damaged_item(int workers, IoFaultKind kind, const char* name) {
+  GwCalculation& gw = testutil::si_prim_gw();
+  const std::vector<double> omegas = {0.0, 0.08, 0.16, 0.24};
+  Workers w(workers);
+  const std::vector<ZMatrix> ref =
+      epsilon_inverse_multi(gw.mtxel(), gw.wavefunctions(), gw.coulomb(),
+                            std::span<const double>(omegas));
+
+  IoFaultSpec spec;
+  spec.seed = 7;
+  (kind == IoFaultKind::kTorn ? spec.p_torn : spec.p_bitflip) = 1.0;
+  spec.max_per_path = 1;
+  spec.path_contains = "eps-1-";
+  IoFaultInjector inj(spec);
+  const std::string injected_name =
+      std::string("fault/io/injected/") + to_string(kind);
+  const std::string recovered_name =
+      std::string("fault/io/recovered/") +
+      (kind == IoFaultKind::kTorn ? "torn" : "bitflip");
+  const std::uint64_t injected = counter(injected_name.c_str());
+  const std::uint64_t recovered = counter(recovered_name.c_str());
+
+  TempDir dir(name);
+  {
+    KillHook kill("eps-3-", &inj);
+    io::ScopedIoHooks hooks(&kill);
+    EXPECT_THROW(epsilon_inverse_multi(gw.mtxel(), gw.wavefunctions(),
+                                       gw.coulomb(),
+                                       std::span<const double>(omegas), {},
+                                       dir.path),
+                 Error);
+  }
+  EXPECT_EQ(counter(injected_name.c_str()), injected + 1);
+
+  const std::uint64_t loads = counter("checkpoint.loads");
+  const std::size_t survived = files_in(dir.path).size();
+  expect_bitwise(
+      epsilon_inverse_multi(gw.mtxel(), gw.wavefunctions(), gw.coulomb(),
+                            std::span<const double>(omegas), {}, dir.path),
+      ref);
+  // Frequency 1 was recomputed; every other surviving file was loaded.
+  EXPECT_EQ(counter("checkpoint.loads") - loads, survived - 1);
+  EXPECT_EQ(counter(recovered_name.c_str()) - recovered,
+            counter(injected_name.c_str()) - injected);
+  EXPECT_TRUE(files_in(dir.path).empty());
+}
+
+TEST(CheckpointFaults, TornRestartFileIsRecomputedAlone) {
+  epsilon_damaged_item(1, IoFaultKind::kTorn, "eps_torn");
+}
+
+TEST(CheckpointFaults, BitFlippedRestartFileIsRecomputedAloneAtFourWorkers) {
+  epsilon_damaged_item(4, IoFaultKind::kBitFlip, "eps_flip_w4");
+}
+
+TEST(CheckpointFaults, NoSpaceSkipsOneBandFileAndTheLoopCompletes) {
+  GwCalculation& gw = testutil::si_prim_gw();
+  const std::vector<idx> bands = {2, 3, 4, 5};
+  for (int workers : {1, 4}) {
+    Workers w(workers);
+    const std::vector<QpResult> ref = gw.sigma_diag(bands, 3, 0.02);
+    IoFaultSpec spec;
+    spec.seed = 3;
+    spec.p_nospace = 1.0;
+    spec.max_per_path = 100;
+    spec.path_contains = "sigma-3-";
+    IoFaultInjector inj(spec);
+    const std::uint64_t injected = counter("fault/io/injected/nospace");
+    const std::uint64_t recovered = counter("fault/io/recovered/nospace");
+    const std::uint64_t skipped = counter("checkpoint/skipped");
+    const std::uint64_t writes = counter("checkpoint.writes");
+    TempDir dir("sigma_nospace");
+    std::vector<QpResult> got;
+    {
+      io::ScopedIoHooks hooks(&inj);
+      got = gw.sigma_diag(bands, 3, 0.02, GppKernelVariant::kOptimized,
+                          nullptr, dir.path);
+    }
+    expect_bitwise(got, ref);
+    EXPECT_EQ(counter("checkpoint/skipped"), skipped + 1) << workers;
+    EXPECT_EQ(counter("checkpoint.writes"), writes + 3) << workers;
+    EXPECT_EQ(counter("fault/io/injected/nospace") - injected, 1u);
+    EXPECT_EQ(counter("fault/io/recovered/nospace") - recovered, 1u);
+    EXPECT_TRUE(files_in(dir.path).empty());
   }
 }
 

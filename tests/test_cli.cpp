@@ -64,8 +64,9 @@ TEST(Driver, SigmaJobProducesQpTable) {
 
 TEST(Driver, SigmaJobWithCheckpointMatchesPlainRun) {
   const std::string path =
-      (std::filesystem::temp_directory_path() / "xgw_cli_sigma.ckpt")
+      (std::filesystem::temp_directory_path() / "xgw_cli_sigma_restart")
           .string();
+  std::filesystem::remove_all(path);
   const std::string base =
       "job sigma\nmaterial silicon\neps_cutoff 0.9\nsigma_bands 2 3\n";
   std::ostringstream plain, ckpt;
@@ -84,8 +85,9 @@ TEST(Driver, SigmaJobWithCheckpointMatchesPlainRun) {
     return rows;
   };
   EXPECT_EQ(qp_rows(plain.str()), qp_rows(ckpt.str()));
-  // Completed run cleans up its restart file.
-  EXPECT_FALSE(std::filesystem::exists(path));
+  // Completed run cleans up its restart files (the directory stays).
+  EXPECT_TRUE(std::filesystem::is_empty(path));
+  std::filesystem::remove_all(path);
 }
 
 TEST(Driver, SigmaJobWithSchedWorkersMatchesSerial) {
@@ -111,7 +113,9 @@ TEST(Driver, SigmaJobWithSchedWorkersMatchesSerial) {
 
 TEST(Driver, EpsilonFrequencySweepWithCheckpoint) {
   const std::string path =
-      (std::filesystem::temp_directory_path() / "xgw_cli_eps.ckpt").string();
+      (std::filesystem::temp_directory_path() / "xgw_cli_eps_restart")
+          .string();
+  std::filesystem::remove_all(path);
   const InputFile in = InputFile::parse(
       "job epsilon\nmaterial silicon\neps_cutoff 0.9\nn_freq 3\n"
       "checkpoint " + path + "\n",
@@ -120,7 +124,29 @@ TEST(Driver, EpsilonFrequencySweepWithCheckpoint) {
   EXPECT_EQ(run_job(in, os), 0);
   const std::string out = os.str();
   EXPECT_NE(out.find("epsinv_head(i*"), std::string::npos);
-  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_TRUE(std::filesystem::is_empty(path));
+  std::filesystem::remove_all(path);
+}
+
+// `checkpoint` only means something where a loop writes restart files; a
+// job that would silently ignore it is rejected before any compute.
+TEST(Driver, CheckpointRejectedWhereNothingRestarts) {
+  const std::string base =
+      "material silicon\neps_cutoff 0.9\ncheckpoint restart_dir\n";
+  for (const char* job :
+       {"job ff\n", "job sigma\nsigma_method space_time\n",
+        "job epsilon\n", "job bands\n", "job cohsex\n"}) {
+    std::ostringstream os;
+    try {
+      run_job(InputFile::parse(base + job, known_input_keys()), os);
+      ADD_FAILURE() << "accepted checkpoint for: " << job;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kValidation) << job;
+      EXPECT_NE(std::string(e.what()).find("checkpoint"), std::string::npos);
+    }
+    EXPECT_TRUE(os.str().empty()) << "computed before rejecting: " << job;
+    EXPECT_FALSE(std::filesystem::exists("restart_dir")) << job;
+  }
 }
 
 TEST(Driver, BandsJobReportsGaps) {

@@ -7,6 +7,7 @@
 #include "la/gemm.h"
 #include "mf/hamiltonian.h"
 #include "mf/solver.h"
+#include "sched/executor.h"
 
 namespace xgw {
 namespace {
@@ -129,23 +130,22 @@ TEST_F(EpsFixture, ShapeChecks) {
   EXPECT_THROW(epsilon_matrix(bad, *v), Error);
 }
 
-// The frequency loop runs compute tasks concurrently behind a serial
-// commit chain: every eps^{-1}(omega_k) and their order of arrival must be
-// bitwise independent of the worker count.
+// The frequency loop runs one scheduler task per frequency, each writing
+// its own result slot: every eps^{-1}(omega_k) must be bitwise independent
+// of the worker count.
 TEST_F(EpsFixture, InverseMultiIsBitwiseInvariantAcrossWorkers) {
   const std::vector<double> omegas = {0.0, 0.07, 0.14, 0.21, 0.28, 0.35};
   ChiOptions copt;
   copt.nv_block = 2;
 
-  EpsilonLoopOptions loop;
-  loop.workers = 1;
+  sched::Executor::set_default_workers(1);
   const std::vector<ZMatrix> ref = epsilon_inverse_multi(
-      *mtxel, *wf, *v, std::span<const double>(omegas), copt, loop);
+      *mtxel, *wf, *v, std::span<const double>(omegas), copt);
 
   for (int workers : {2, 4}) {
-    loop.workers = workers;
+    sched::Executor::set_default_workers(workers);
     const std::vector<ZMatrix> got = epsilon_inverse_multi(
-        *mtxel, *wf, *v, std::span<const double>(omegas), copt, loop);
+        *mtxel, *wf, *v, std::span<const double>(omegas), copt);
     ASSERT_EQ(got.size(), ref.size());
     for (std::size_t k = 0; k < ref.size(); ++k) {
       ASSERT_EQ(got[k].rows(), ref[k].rows());
@@ -154,6 +154,7 @@ TEST_F(EpsFixture, InverseMultiIsBitwiseInvariantAcrossWorkers) {
             << workers << " workers, omega index " << k << ", element " << i;
     }
   }
+  sched::Executor::set_default_workers(0);
 }
 
 }  // namespace

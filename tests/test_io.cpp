@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
 #include "common/rng.h"
 #include "io/binio.h"
@@ -15,6 +17,7 @@
 #include "mf/hamiltonian.h"
 #include "mf/solver.h"
 #include "obs/metrics.h"
+#include "obs/report.h"
 
 namespace xgw {
 namespace {
@@ -76,6 +79,25 @@ TEST(BinIo, FileSizeMatchesAccounting) {
   write_wavefunctions(path2, wf);
   EXPECT_EQ(std::filesystem::file_size(path2),
             wavefunctions_file_bytes(wf.n_bands(), wf.n_pw()));
+}
+
+// The trailer is 64-bit FNV-1a over header + payload. Pinned to a golden
+// value so files written by earlier builds keep verifying.
+TEST(BinIo, ChecksumIsFnv1aOfHeaderAndPayload) {
+  const std::string path = temp_path("checksum.bin");
+  FileGuard guard(path);
+  ZMatrix m(1, 2);
+  m(0, 0) = cplx(1.0, -2.0);
+  m(0, 1) = cplx(0.5, 0.25);
+  write_matrix(path, m);
+  std::ifstream f(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(f)),
+                    std::istreambuf_iterator<char>());
+  ASSERT_EQ(bytes.size(), matrix_file_bytes(1, 2));
+  std::uint64_t stored = 0;
+  std::memcpy(&stored, bytes.data() + bytes.size() - 8, 8);
+  EXPECT_EQ(stored, obs::fnv1a(std::string_view(bytes).substr(0, 64)));
+  EXPECT_EQ(stored, 0x1c404c6717d2be4full);
 }
 
 TEST(BinIo, CorruptionDetected) {

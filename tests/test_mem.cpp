@@ -27,8 +27,8 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/trace.h"
-#include "runtime/checkpoint.h"
 #include "runtime/fault.h"
+#include "sched/executor.h"
 
 namespace xgw {
 namespace {
@@ -78,17 +78,6 @@ TEST(MemTracker, SummaryNamesTags) {
   { ZMatrix m(8, 8); }  // ensure la/matrix traffic exists
   const std::string s = tracker().summary();
   EXPECT_NE(s.find("la/matrix"), std::string::npos);
-}
-
-TEST(MemTracker, CheckpointBuffersAccountedUnderTheirTag) {
-  const auto before = tracker().tag(Tag::kCheckpoint);
-  CkptWriter w;
-  const std::vector<double> big(4096, 1.5);
-  w.put_span(std::span<const double>(big));
-  const CkptBuffer buf = w.take();
-  const auto after = tracker().tag(Tag::kCheckpoint);
-  EXPECT_GT(after.alloc_calls, before.alloc_calls);
-  EXPECT_GE(after.peak_bytes, big.size() * sizeof(double));
 }
 
 // --- arena ----------------------------------------------------------------
@@ -553,21 +542,19 @@ TEST_F(MemChiFixture, ArenaBoundChiLoopPerformsZeroHeapAllocations) {
   EXPECT_EQ(arena.overflow_count(), 0u) << "arena undersized for the test";
 }
 
+// One worker runs the frequency loop inline on one rewinding arena; a
+// worker pool runs it on the tracked heap. Same bits either way.
 TEST_F(MemChiFixture, EpsilonArenaLoopMatchesHeapLoopBitwise) {
   const std::vector<double> omegas{0.1, 0.6, 1.4};
   ChiOptions copt;
   copt.nv_block = 4;
   copt.imaginary_axis = true;
 
-  EpsilonLoopOptions heap_loop;
-  heap_loop.use_arena = false;
-  EpsilonLoopOptions arena_loop;
-  arena_loop.use_arena = true;
-
-  const auto a = epsilon_inverse_multi(*mtxel, *wf, *v, omegas, copt,
-                                       heap_loop);
-  const auto b = epsilon_inverse_multi(*mtxel, *wf, *v, omegas, copt,
-                                       arena_loop);
+  sched::Executor::set_default_workers(2);
+  const auto a = epsilon_inverse_multi(*mtxel, *wf, *v, omegas, copt);
+  sched::Executor::set_default_workers(1);
+  const auto b = epsilon_inverse_multi(*mtxel, *wf, *v, omegas, copt);
+  sched::Executor::set_default_workers(0);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t k = 0; k < a.size(); ++k)
     for (idx i = 0; i < a[k].size(); ++i)

@@ -376,6 +376,12 @@ TEST(ObsReport, Fnv1aKnownAnswers) {
   EXPECT_EQ(obs::fnv1a_hex(""), "cbf29ce484222325");
 }
 
+TEST(ObsReport, Fnv1aSeedContinuesTheHash) {
+  EXPECT_EQ(obs::fnv1a("b", obs::fnv1a("a")), obs::fnv1a("ab"));
+  EXPECT_EQ(obs::fnv1a("", 42u), 42u);
+  EXPECT_EQ(obs::fnv1a("ab"), 0x089c4407b545986aull);
+}
+
 TEST(ObsReport, BuildsFromRecorderAndSerializes) {
   auto& rec = obs::recorder();
   rec.enable(obs::detail_level::kKernel);

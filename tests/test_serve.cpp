@@ -211,7 +211,7 @@ TEST(ServeSpec, KeyIgnoresRuntimeKnobs) {
   const InputFile b = InputFile::parse(
       "job sigma\nmaterial silicon\nsupercell 1\nsigma_bands 2 3\n"
       "n_e_points 3\ne_step 0.02\n"
-      "checkpoint /tmp/ck.bin\ncheckpoint_every 2\ntrace trace.json\n"
+      "checkpoint /tmp/ck.bin\ntrace trace.json\n"
       "sched_workers 4\nio_retry_attempts 3\nspill_verify checksum\n",
       known_input_keys());
   const ResolvedSpec ra = resolve_spec(a, si_dims());
