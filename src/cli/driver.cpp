@@ -38,24 +38,68 @@
 
 namespace xgw {
 
+namespace {
+
+// Table order is the order `xgw_run --help` lists the keys in.
+constexpr InputKey kInputKeys[] = {
+    {"job", KeyRole::kKeyed},
+    {"material", KeyRole::kKeyed},
+    {"supercell", KeyRole::kKeyed},
+    {"vacancy", KeyRole::kKeyed},
+    {"psi_cutoff", KeyRole::kKeyed},
+    {"eps_cutoff", KeyRole::kKeyed},
+    {"coulomb", KeyRole::kKeyed},
+    {"n_bands", KeyRole::kKeyed},
+    {"eta", KeyRole::kKeyed},
+    {"nv_block", KeyRole::kKeyed},
+    {"sigma_bands", KeyRole::kKeyed},
+    {"n_e_points", KeyRole::kKeyed},
+    {"e_step", KeyRole::kKeyed},
+    {"n_freq", KeyRole::kKeyed},
+    {"subspace_fraction", KeyRole::kDriverOnly},
+    {"pseudobands", KeyRole::kKeyed},
+    {"pseudobands_nxi", KeyRole::kKeyed},
+    {"scissors", KeyRole::kDriverOnly},
+    {"bse_nval", KeyRole::kDriverOnly},
+    {"bse_ncond", KeyRole::kDriverOnly},
+    {"output_wfn", KeyRole::kDriverOnly},
+    {"input_wfn", KeyRole::kDriverOnly},
+    {"output_epsmat", KeyRole::kDriverOnly},
+    {"evgw_max_iter", KeyRole::kDriverOnly},
+    {"evgw_mixing", KeyRole::kDriverOnly},
+    {"rpa_n_freq", KeyRole::kDriverOnly},
+    {"band_segments", KeyRole::kDriverOnly},
+    {"vacuum", KeyRole::kKeyed},
+    {"checkpoint", KeyRole::kRuntime},
+    {"trace", KeyRole::kRuntime},
+    {"trace_detail", KeyRole::kRuntime},
+    {"metrics", KeyRole::kRuntime},
+    {"run_report", KeyRole::kRuntime},
+    {"peak_gflops", KeyRole::kRuntime},
+    {"mem_gbps", KeyRole::kRuntime},
+    {"memory_budget_mb", KeyRole::kRuntime},
+    {"memory_budget_machine", KeyRole::kRuntime},
+    {"spill_dir", KeyRole::kRuntime},
+    {"validate", KeyRole::kRuntime},
+    {"io_retry_attempts", KeyRole::kRuntime},
+    {"io_retry_backoff_ms", KeyRole::kRuntime},
+    {"spill_verify", KeyRole::kRuntime},
+    {"sched_workers", KeyRole::kRuntime},
+    {"sigma_method", KeyRole::kKeyed},
+    {"n_tau", KeyRole::kKeyed},
+};
+
+}  // namespace
+
+std::span<const InputKey> input_keys() { return kInputKeys; }
+
 const std::vector<std::string>& known_input_keys() {
-  static const std::vector<std::string> keys{
-      "job",         "material",     "supercell",    "vacancy",
-      "substitution","psi_cutoff",   "eps_cutoff",   "coulomb",
-      "n_bands",     "eta",          "nv_block",     "sigma_bands",
-      "n_e_points",  "e_step",       "n_freq",       "subspace_fraction",
-      "pseudobands", "pseudobands_nxi", "scissors",  "bse_nval",
-      "bse_ncond",   "output_wfn",   "input_wfn",    "output_epsmat",
-      "evgw_max_iter", "evgw_mixing", "rpa_n_freq",  "band_segments",
-      "vacuum",      "checkpoint",
-      "trace",       "trace_detail", "metrics",      "run_report",
-      "peak_gflops", "mem_gbps",     "memory_budget_mb",
-      "memory_budget_machine",       "spill_dir",    "validate",
-      "io_retry_attempts",           "io_retry_backoff_ms",
-      "spill_verify", "sched_workers",
-      "sigma_method", "n_tau",
-  };
-  return keys;
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> v;
+    for (const InputKey& k : kInputKeys) v.emplace_back(k.name);
+    return v;
+  }();
+  return names;
 }
 
 namespace {

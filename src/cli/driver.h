@@ -18,13 +18,31 @@
 // Returns 0 on success; all output goes to the provided stream.
 
 #include <iosfwd>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "cli/input.h"
 #include "core/sigma.h"
 
 namespace xgw {
 
-/// The full list of keys xgw_run accepts (used to reject typos).
+/// What the serve layer (serve/spec.h) does with an input key.
+enum class KeyRole {
+  kKeyed,       ///< physics: enters the serve cache keys
+  kRuntime,     ///< worker counts, traces, budgets, I/O policy: serve strips it
+  kDriverOnly,  ///< side files or non-servable jobs: serve rejects it
+};
+
+struct InputKey {
+  const char* name;
+  KeyRole role;
+};
+
+/// The one input-key table: every key xgw_run accepts, with its serve role.
+std::span<const InputKey> input_keys();
+
+/// The names of input_keys(), in table order (used to reject typos).
 const std::vector<std::string>& known_input_keys();
 
 int run_job(const InputFile& in, std::ostream& os);

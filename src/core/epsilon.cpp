@@ -2,17 +2,15 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
 #include "common/validate.h"
 #include "io/binio.h"
 #include "la/gemm.h"
-#include "mem/arena.h"
-#include "mem/planner.h"
 #include "obs/span.h"
 #include "sched/executor.h"
 #include "sched/run_items.h"
@@ -134,16 +132,6 @@ std::vector<ZMatrix> epsilon_inverse_multi(
     }
   }
 
-  // With one worker the frequencies run inline on this thread, so every
-  // iteration's chi + inversion temporaries live on one arena that rewinds
-  // between frequencies. Worker tasks migrate between threads and arena
-  // scopes are thread-bound, so pooled runs use the tracked heap.
-  const int workers = sched::Executor::default_workers();
-  std::unique_ptr<mem::Arena> arena;
-  if (workers <= 1)
-    arena = std::make_unique<mem::Arena>(mem::epsilon_step_arena_bytes(
-        ng, wf.n_valence, wf.n_conduction(), xgw_num_threads()));
-
   std::vector<ZMatrix> out(static_cast<std::size_t>(nfreq));
   sched::run_items(
       nfreq,
@@ -155,27 +143,17 @@ std::vector<ZMatrix> epsilon_inverse_multi(
             return;
           }
         }
-        {
-          // `scope` outlives the frequency's temporaries, so their
-          // arena-backed storage is still bound when they destruct.
-          std::optional<mem::ArenaScope> scope;
-          if (arena) scope.emplace(*arena);
-          // One frequency at a time through the same NV-Block accumulation
-          // as the batched path: bitwise-equal to chi_multi over the grid.
-          std::vector<ZMatrix> chik = chi_multi(
-              mtxel, wf, omegas.subspan(i, 1), opt, nullptr,
-              head_values.empty() ? std::span<const cplx>{}
-                                  : head_values.subspan(i, 1));
-          ZMatrix einv = epsilon_inverse(chik.front(), v);
-          require_finite(einv, "epsilon_inverse_multi: eps^{-1}(omega)");
-          // The result outlives the arena scope: copy it onto the tracked
-          // heap (a move could carry arena-backed storage out of the scope).
-          mem::HeapScope heap;
-          out[i] = einv;
-        }
+        // One frequency at a time through the same NV-Block accumulation as
+        // the batched path: bitwise-equal to chi_multi over the grid.
+        const std::vector<ZMatrix> chik = chi_multi(
+            mtxel, wf, omegas.subspan(i, 1), opt, nullptr,
+            head_values.empty() ? std::span<const cplx>{}
+                                : head_values.subspan(i, 1));
+        out[i] = epsilon_inverse(chik.front(), v);
+        require_finite(out[i], "epsilon_inverse_multi: eps^{-1}(omega)");
         if (!files.empty()) save_restart_item(files[i], out[i]);
       },
-      workers, "eps.freq");
+      sched::Executor::default_workers(), "eps.freq");
 
   std::error_code ec;
   for (const std::string& f : files) std::filesystem::remove(f, ec);

@@ -56,9 +56,8 @@ double epsinv_head(const ZMatrix& epsinv);
 
 /// Dense eps^{-1}(omega_k) for every grid frequency. The frequencies run as
 /// sched::run_items tasks on sched::Executor::default_workers() workers,
-/// each writing its own result slot; with one worker every frequency's chi
-/// + inversion temporaries share one rewinding mem::Arena. `head_values`,
-/// if non-empty, supplies one q->0 head per frequency (as in chi_multi).
+/// each writing its own result slot. `head_values`, if non-empty, supplies
+/// one q->0 head per frequency (as in chi_multi).
 ///
 /// A non-empty `restart_dir` keeps one io/binio restart file per finished
 /// frequency (see binio.h). Frequencies whose file is present and intact

@@ -285,12 +285,11 @@ std::vector<QpResult> GwCalculation::sigma_diag(const std::vector<idx>& bands,
   // Bands write disjoint result slots and the GPP kernel's two-stage
   // reduction is thread-count invariant, so the band loop runs as
   // scheduler tasks when workers are available (kernel construction above
-  // already primed every lazy cache). The shared FlopCounter is the one
-  // non-disjoint accumulator — callers that count FLOPs get the serial
-  // loop.
+  // already primed every lazy cache). A shared FlopCounter is a relaxed
+  // atomic sum, so its total does not depend on the band order either.
   const int workers = sched::Executor::default_workers();
   const idx nb = static_cast<idx>(bands.size());
-  if (workers > 1 && nb > 1 && flops == nullptr) {
+  if (workers > 1 && nb > 1) {
     sched::run_items(nb, compute_band, workers, "sigma.band");
   } else {
     for (idx bi = 0; bi < nb; ++bi) compute_band(bi);

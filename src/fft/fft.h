@@ -24,12 +24,9 @@
 
 namespace xgw {
 
-/// FFT buffers are tracked under mem::Tag::kFft and must NEVER live on a
-/// workspace arena: plans are cached process-wide and the transform
-/// workspaces are thread_local, so both outlive any mem::ArenaScope.
+/// FFT plan tables and transform workspaces, tracked under mem::Tag::kFft.
 using FftVector =
-    std::vector<cplx, mem::TrackedAllocator<cplx, mem::Tag::kFft,
-                                            mem::Route::kNeverArena>>;
+    std::vector<cplx, mem::TrackedAllocator<cplx, mem::Tag::kFft>>;
 
 enum class FftDirection { kForward, kBackward };
 

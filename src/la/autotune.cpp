@@ -15,7 +15,6 @@
 #include "common/hostinfo.h"
 #include "la/gemm.h"
 #include "la/microkernel.h"
-#include "mem/arena.h"
 #include "obs/report.h"
 
 namespace xgw::la {
@@ -241,10 +240,6 @@ void save_autotune_cache(const std::string& path, const AutotuneResult& r) {
 }
 
 AutotuneResult run_autotune(SimdIsa isa, const AutotuneOptions& opt) {
-  // One-time tuning scratch must not land in (or overflow) a caller's
-  // arena, and must not be attributed to any science stage's budget.
-  mem::HeapScope heap;
-
   AutotuneResult best = default_autotune(isa);
   best.fma_peak_gflops = fma_peak_gflops(isa, opt.probe_ms);
   best.swept = true;

@@ -79,9 +79,7 @@ bool load_autotune_cache(const std::string& path, SimdIsa isa,
 /// embeds an fnv1a checksum over its own lines.
 void save_autotune_cache(const std::string& path, const AutotuneResult& r);
 
-/// Probe FMA peak + sweep candidates for `isa`. Pure compute, no cache I/O;
-/// allocations run under mem::HeapScope so an ambient arena is never
-/// polluted by one-time tuning scratch.
+/// Probe FMA peak + sweep candidates for `isa`. Pure compute, no cache I/O.
 AutotuneResult run_autotune(SimdIsa isa, const AutotuneOptions& opt = {});
 
 /// load_autotune_cache || (run_autotune + save): the composition the lazy

@@ -96,9 +96,8 @@ class Matrix {
     return rows_ == other.rows_ && cols_ == other.cols_;
   }
 
-  /// Storage allocator: heap allocations are accounted to mem::Tag::kMatrix
-  /// (the `la/matrix` gauge and the run report's peak_bytes column); when a
-  /// mem::Arena is bound to the thread, storage comes from the arena.
+  /// Storage allocator: allocations are accounted to mem::Tag::kMatrix
+  /// (the `la/matrix` gauge and the run report's peak_bytes column).
   using allocator_type = mem::TrackedAllocator<T, mem::Tag::kMatrix>;
 
  private:

@@ -47,21 +47,6 @@ std::size_t chi_workspace_bytes(const PlannerInput& in, idx nv_block,
   return b;
 }
 
-std::size_t epsilon_step_arena_bytes(idx ng, idx nv, idx nc, int threads) {
-  PlannerInput in;
-  in.nv = nv;
-  in.nc = nc;
-  in.ng = ng;
-  in.ncols = ng;
-  in.threads = threads;
-  // chi at one frequency with the full valence block, plus the dense
-  // inversion chain: eps = I - v chi, the LU copy, and the inverse.
-  const std::size_t ng2 =
-      static_cast<std::size_t>(ng) * static_cast<std::size_t>(ng) * kElem;
-  return chi_workspace_bytes(in, nv, 1) + 3 * ng2 +
-         static_cast<std::size_t>(ng) * sizeof(idx) + (64 << 10);
-}
-
 std::string MemPlan::describe() const {
   std::string s = "nv_block=" + std::to_string(nv_block) +
                   " freq_batch=" + std::to_string(freq_batch);

@@ -67,10 +67,6 @@ struct MemPlan {
 std::size_t chi_workspace_bytes(const PlannerInput& in, idx nv_block,
                                 idx freq_batch);
 
-/// Arena capacity for one epsilon-loop iteration (chi at one frequency +
-/// dense inversion temporaries), used to size the loop's workspace arena.
-std::size_t epsilon_step_arena_bytes(idx ng, idx nv, idx nc, int threads);
-
 /// Solves the blocking under `in.budget_bytes`. Throws xgw::Error with an
 /// actionable message when the budget cannot hold even the minimal plan and
 /// `allow_spill` is false.

@@ -10,7 +10,6 @@
 #include "common/log.h"
 #include "io/binio.h"
 #include "io/iohooks.h"
-#include "mem/arena.h"
 #include "mem/tracker.h"
 #include "obs/metrics.h"
 
@@ -109,7 +108,6 @@ bool SpillPool::write_verified(const std::string& key, const Entry& e) {
         }
       } else if (verify_ == SpillVerify::kChecksum) {
         try {
-          HeapScope heap;
           const ZMatrix back = read_matrix(file);
           if (back.rows() != e.m.rows() || back.cols() != e.m.cols() ||
               std::memcmp(back.data(), e.m.data(), e.bytes) != 0) {
@@ -177,9 +175,6 @@ bool SpillPool::evict(const std::string& key, Entry& e) {
 }
 
 void SpillPool::page_in(const std::string& key, Entry& e) {
-  // Spilled matrices must come back on the tracked heap even when the
-  // caller has an arena bound: a paged-in entry outlives any arena scope.
-  HeapScope heap;
   bool rematerialized = false;
   try {
     e.m = read_matrix(file_for(key));
@@ -240,12 +235,7 @@ void SpillPool::put(const std::string& key, ZMatrix m) {
   }
   make_room(bytes, nullptr);
   Entry& e = entries_[key];
-  {
-    // The stored copy lives for the pool's lifetime: force it off any
-    // bound arena. (A move would carry arena-backed storage along.)
-    HeapScope heap;
-    e.m = m;
-  }
+  e.m = std::move(m);
   e.resident = true;
   e.on_disk = false;
   e.bytes = bytes;
@@ -321,8 +311,7 @@ void MatrixStore::push_back(ZMatrix m) {
   if (pool_) {
     pool_->put(key(n_), std::move(m));
   } else {
-    HeapScope heap;
-    in_core_.push_back(m);
+    in_core_.push_back(std::move(m));
   }
   ++n_;
 }
@@ -332,8 +321,7 @@ void MatrixStore::set(idx i, ZMatrix m) {
   if (pool_) {
     pool_->put(key(i), std::move(m));
   } else {
-    HeapScope heap;
-    in_core_[static_cast<std::size_t>(i)] = m;
+    in_core_[static_cast<std::size_t>(i)] = std::move(m);
   }
 }
 

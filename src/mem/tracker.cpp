@@ -10,8 +10,6 @@ const char* tag_name(Tag t) {
       return "la/matrix";
     case Tag::kFft:
       return "fft";
-    case Tag::kArena:
-      return "mem/arena";
     case Tag::kSpill:
       return "mem/spill";
     case Tag::kOther:

@@ -11,8 +11,7 @@
 //
 // Cost: one relaxed fetch_add plus a relaxed CAS-max per allocation — a few
 // nanoseconds, paid only when a container actually touches the heap. Hot
-// kernels pre-allocate (and, with mem/arena bound, stop touching the heap
-// entirely), so the tracker adds nothing to inner loops.
+// kernels pre-allocate, so the tracker adds nothing to inner loops.
 //
 // The tracker feeds three consumers:
 //  * obs::Span samples it on close, giving the run report a per-stage
@@ -35,7 +34,6 @@ namespace xgw::mem {
 enum class Tag : int {
   kMatrix = 0,     ///< la/matrix dense storage (the bulk of every run)
   kFft,            ///< FFT plans and per-thread transform workspaces
-  kArena,          ///< workspace arena slabs (mem/arena)
   kSpill,          ///< spill pool resident matrices (mem/spill)
   kOther,          ///< everything else routed through TrackedAllocator
   kCount
@@ -77,8 +75,7 @@ class MemTracker {
     return total_peak_.load(std::memory_order_relaxed);
   }
   /// Heap allocation count across all tags — what the zero-allocation
-  /// inner-loop assertions in tests measure. Arena-sourced allocations do
-  /// not bump this (they touch no heap).
+  /// inner-loop assertions in tests measure.
   std::uint64_t alloc_calls() const noexcept {
     return total_allocs_.load(std::memory_order_relaxed);
   }
@@ -137,56 +134,31 @@ class MemTracker {
 /// Shorthand for MemTracker::global().
 inline MemTracker& tracker() noexcept { return MemTracker::global(); }
 
-class Arena;
-
-/// The calling thread's innermost bound arena (nullptr when none) and the
-/// binding-stack walker used by deallocation. Defined in mem/arena.cpp.
-Arena* current_arena() noexcept;
-Arena* owning_arena(const void* p) noexcept;
-
-/// Arena routing policy for TrackedAllocator. Containers whose lifetime can
-/// exceed an arena scope (thread_local FFT workspaces, caches) must use
-/// kNeverArena so they never hold arena-backed storage.
-enum class Route { kArenaWhenBound, kNeverArena };
-
-void* tracked_arena_alloc(std::size_t bytes, std::size_t align) noexcept;
-bool tracked_arena_free(void* p, std::size_t bytes) noexcept;
-
-/// std-compatible allocator: heap allocations are counted in MemTracker
-/// under `T_tag`; when a mem::Arena is bound to the calling thread (and the
-/// route allows it) storage comes from the arena instead — no heap, no
-/// counter bump, released wholesale at the arena mark.
-template <typename T, Tag T_tag = Tag::kOther,
-          Route T_route = Route::kArenaWhenBound>
+/// std-compatible allocator: every allocation comes from the heap and is
+/// counted in MemTracker under `T_tag`.
+template <typename T, Tag T_tag = Tag::kOther>
 struct TrackedAllocator {
   using value_type = T;
 
   TrackedAllocator() noexcept = default;
   template <typename U>
-  TrackedAllocator(const TrackedAllocator<U, T_tag, T_route>&) noexcept {}
+  TrackedAllocator(const TrackedAllocator<U, T_tag>&) noexcept {}
 
   T* allocate(std::size_t n) {
     const std::size_t bytes = n * sizeof(T);
-    if constexpr (T_route == Route::kArenaWhenBound) {
-      if (void* p = tracked_arena_alloc(bytes, alignof(T)))
-        return static_cast<T*>(p);
-    }
     tracker().on_alloc(T_tag, bytes);
     return static_cast<T*>(::operator new(bytes));
   }
 
   void deallocate(T* p, std::size_t n) noexcept {
     const std::size_t bytes = n * sizeof(T);
-    if constexpr (T_route == Route::kArenaWhenBound) {
-      if (tracked_arena_free(p, bytes)) return;
-    }
     tracker().on_free(T_tag, bytes);
     ::operator delete(p);
   }
 
   template <typename U>
   struct rebind {
-    using other = TrackedAllocator<U, T_tag, T_route>;
+    using other = TrackedAllocator<U, T_tag>;
   };
 
   friend bool operator==(const TrackedAllocator&,

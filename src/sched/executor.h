@@ -55,7 +55,7 @@ class Executor {
 
   /// Index of the current worker within a running Executor: 0..W-1 on a
   /// worker thread (or the calling thread for W = 1 runs), -1 elsewhere.
-  /// Lets tasks keep per-worker state (scratch arenas) without locking.
+  /// Lets tasks keep per-worker state (reusable buffers) without locking.
   static int worker_index();
 
  private:

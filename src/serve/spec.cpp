@@ -40,37 +40,14 @@ std::string canon_double(double v) {
 
 namespace {
 
-/// Keys whose value can never change result bytes (runtime/observability
-/// knobs): silently stripped from the canonical spec, so a rerun with a
-/// checkpoint directory or a different worker count hits the same entries.
-/// In particular `checkpoint`: a cached sub-result SUPERSEDES a restart
-/// file — the CAS already restarts at per-band and per-frequency
-/// granularity.
-bool is_runtime_key(const std::string& k) {
-  static const std::vector<std::string> runtime{
-      "checkpoint",      "trace",
-      "trace_detail",    "metrics",              "run_report",
-      "peak_gflops",     "mem_gbps",             "spill_dir",
-      "validate",        "io_retry_attempts",    "io_retry_backoff_ms",
-      "spill_verify",    "sched_workers",        "memory_budget_mb",
-      "memory_budget_machine",
-  };
-  for (const std::string& r : runtime)
-    if (r == k) return true;
-  return false;
-}
-
-/// Keys a serve spec may carry beyond the runtime set.
-bool is_serve_key(const std::string& k) {
-  static const std::vector<std::string> serve{
-      "job",        "material",    "supercell",       "vacancy",
-      "vacuum",     "psi_cutoff",  "eps_cutoff",      "coulomb",
-      "n_bands",    "eta",         "nv_block",        "sigma_bands",
-      "n_e_points", "e_step",      "n_freq",          "pseudobands",
-      "pseudobands_nxi",           "sigma_method",    "n_tau",
-  };
-  for (const std::string& s : serve)
-    if (s == k) return true;
+/// A key is servable when the table marks it keyed or runtime. Runtime
+/// keys never reach the canonical spec, so a rerun with a checkpoint
+/// directory or a different worker count hits the same entries. In
+/// particular `checkpoint`: a cached sub-result SUPERSEDES a restart file —
+/// the CAS already restarts at per-band and per-frequency granularity.
+bool is_servable_key(const std::string& k) {
+  for (const InputKey& e : input_keys())
+    if (k == e.name) return e.role != KeyRole::kDriverOnly;
   return false;
 }
 
@@ -110,7 +87,7 @@ ResolvedSpec resolve_spec(const InputFile& in, const SpecDims& dims,
   for (const auto& [k, v] : in.entries()) {
     (void)v;
     XGW_REQUIRE_KIND(
-        is_runtime_key(k) || is_serve_key(k),
+        is_servable_key(k),
         "serve: key '" + k +
             "' cannot be canonicalized into a cache key (file-based inputs "
             "and side outputs defeat content addressing)",

@@ -40,6 +40,10 @@ TEST(InputParser, LaterKeysOverride) {
 
 TEST(InputParser, RejectsUnknownKeys) {
   EXPECT_THROW(InputFile::parse("jobb sigma\n", known_input_keys()), Error);
+  // No job reads a substitutional defect, so the key is not accepted.
+  EXPECT_THROW(InputFile::parse("job bands\nsubstitution 1\n",
+                                known_input_keys()),
+               Error);
   EXPECT_NO_THROW(InputFile::parse("job sigma\n", known_input_keys()));
 }
 

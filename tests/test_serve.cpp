@@ -9,6 +9,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <vector>
 
@@ -259,6 +260,65 @@ TEST(ServeSpec, RejectsUnservableSpecs) {
   reject("job bse\nmaterial silicon\n");
   reject("job sigma\nmaterial silicon\ninput_wfn wfn.bin\n");
   reject("job epsilon\nmaterial silicon\noutput_epsmat eps.bin\n");
+
+  // Walk the input-key table: every driver-only key is a validation error,
+  // every keyed or runtime key resolves. A key added to the table needs a
+  // sample value here unless it is driver-only.
+  const std::map<std::string, std::string> sample{
+      {"job", "sigma"},
+      {"material", "silicon"},
+      {"supercell", "1"},
+      {"vacancy", "0"},
+      {"psi_cutoff", "2.0"},
+      {"eps_cutoff", "0.9"},
+      {"coulomb", "spherical_average"},
+      {"n_bands", "20"},
+      {"eta", "2e-3"},
+      {"nv_block", "4"},
+      {"sigma_bands", "2 3"},
+      {"n_e_points", "3"},
+      {"e_step", "0.02"},
+      {"n_freq", "4"},
+      {"pseudobands", "0"},
+      {"pseudobands_nxi", "3"},
+      {"vacuum", "16"},
+      {"sigma_method", "gpp"},
+      {"n_tau", "14"},
+      {"checkpoint", "ck"},
+      {"trace", "trace.json"},
+      {"trace_detail", "2"},
+      {"metrics", "metrics.json"},
+      {"run_report", "report.json"},
+      {"peak_gflops", "100"},
+      {"mem_gbps", "50"},
+      {"memory_budget_mb", "64"},
+      {"memory_budget_machine", "frontier"},
+      {"spill_dir", "spill"},
+      {"validate", "warn"},
+      {"io_retry_attempts", "3"},
+      {"io_retry_backoff_ms", "1"},
+      {"spill_verify", "checksum"},
+      {"sched_workers", "2"},
+  };
+  for (const InputKey& key : input_keys()) {
+    const bool servable = key.role != KeyRole::kDriverOnly;
+    const auto it = sample.find(key.name);
+    ASSERT_EQ(it != sample.end(), servable) << key.name;
+    const InputFile in = InputFile::parse(
+        std::string("job sigma\nmaterial silicon\n") + key.name + " " +
+            (servable ? it->second : std::string("1")) + "\n",
+        known_input_keys());
+    if (servable) {
+      EXPECT_NO_THROW(resolve_spec(in, d)) << key.name;
+      continue;
+    }
+    try {
+      resolve_spec(in, d);
+      ADD_FAILURE() << "driver-only key '" << key.name << "' was served";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kValidation) << key.name;
+    }
+  }
 }
 
 TEST(ServeSpec, BandsDefaultToGapPair) {

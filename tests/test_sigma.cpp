@@ -173,11 +173,18 @@ TEST(Sigma, DiagIsBitwiseInvariantAcrossWorkers) {
   const std::vector<idx> bands = {0, gw.n_valence() - 1, gw.n_valence(),
                                   gw.n_valence() + 1};
 
+  // Counting FLOPs must not change how the band loop runs or what it
+  // counts: the counter is passed at every worker count.
+  const auto kOpt = GppKernelVariant::kOptimized;
   sched::Executor::set_default_workers(1);
-  const auto ref = gw.sigma_diag(bands, 5, 0.02);
+  FlopCounter ref_flops;
+  const auto ref = gw.sigma_diag(bands, 5, 0.02, kOpt, &ref_flops);
+  EXPECT_GT(ref_flops.total(), 0u);
   for (int workers : {2, 4}) {
     sched::Executor::set_default_workers(workers);
-    const auto got = gw.sigma_diag(bands, 5, 0.02);
+    FlopCounter flops;
+    const auto got = gw.sigma_diag(bands, 5, 0.02, kOpt, &flops);
+    EXPECT_EQ(flops.total(), ref_flops.total()) << workers << " workers";
     ASSERT_EQ(got.size(), ref.size());
     for (std::size_t i = 0; i < ref.size(); ++i) {
       EXPECT_EQ(got[i].band, ref[i].band) << workers << " workers";
