@@ -6,10 +6,10 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <string>
-#include <vector>
-
 #include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -58,6 +58,55 @@ double heev_bits_lo32(const EigResult& r) {
                     r.values.size() * sizeof(double));
   bytes.append(reinterpret_cast<const char*>(r.vectors.data()),
                static_cast<std::size_t>(r.vectors.size()) * sizeof(cplx));
+  return static_cast<double>(obs::fnv1a(bytes) & 0xffffffffULL);
+}
+
+// Seeded synthetic GPP diag-kernel inputs shaped like a real model: zero
+// wings, one bad mode in ten (Omega^2 = 0, wtilde^2 = 1e12), the first
+// quarter of the bands occupied. Built from Rng::uniform() by sums,
+// differences and power-of-two scalings only, so their bits are the same
+// in every build.
+struct GppSynthetic {
+  GppModel model;
+  CoulombPotential v;
+  ZMatrix m_ln;
+  std::vector<double> band_energy;
+  idx n_valence;
+};
+
+GppSynthetic gpp_synthetic(idx ng, idx nb, std::uint64_t seed) {
+  Rng rng(seed);
+  const auto centred = [&rng] { return rng.uniform() - 0.5; };
+  GppModel m;
+  m.omega2 = ZMatrix(ng, ng);
+  m.wtilde2 = ZMatrix(ng, ng);
+  m.wtilde = ZMatrix(ng, ng);
+  for (idx g = 0; g < ng; ++g)
+    for (idx gp = 0; gp < ng; ++gp) {
+      const bool bad = rng.below(10) == 0;
+      const bool wing = (g == 0) != (gp == 0);
+      m.omega2(g, gp) =
+          bad || wing ? cplx{} : cplx{rng.uniform() + 0.25, centred()};
+      m.wtilde2(g, gp) = bad ? cplx{1e12, 0.0}
+                             : cplx{rng.uniform() + 0.1, 0.5 * centred()};
+      m.wtilde(g, gp) = bad ? cplx{1e6, 0.0}
+                            : cplx{rng.uniform() + 0.3, 0.25 * centred()};
+    }
+  std::vector<double> v(static_cast<std::size_t>(ng));
+  for (double& x : v) x = rng.uniform() + 0.01;
+  ZMatrix m_ln(nb, ng);
+  for (idx i = 0; i < m_ln.size(); ++i)
+    m_ln.data()[i] = cplx{centred(), centred()};
+  std::vector<double> band_energy(static_cast<std::size_t>(nb));
+  for (double& e : band_energy) e = 2.0 * centred();
+  return {std::move(m), CoulombPotential(std::move(v)), std::move(m_ln),
+          std::move(band_energy), nb / 4};
+}
+
+// Low 32 bits of the FNV-1a hash of the diag kernel's output bits.
+double gpp_bits_lo32(const std::vector<SigmaParts>& out) {
+  const std::string bytes(reinterpret_cast<const char*>(out.data()),
+                          out.size() * sizeof(SigmaParts));
   return static_cast<double>(obs::fnv1a(bytes) & 0xffffffffULL);
 }
 
@@ -457,6 +506,33 @@ void emit_kernel_json() {
       std::printf("%s: %.4f s at %d threads, %.4f s at 1\n", hc.key.c_str(),
                   t.median_s, xgw_num_threads(), t1.median_s);
     }
+  }
+
+  // GPP diagonal Sigma kernel at the gpp-sigma-si16 shape (N_G = 283,
+  // N_b = 120, N_E = 5) on seeded synthetic inputs. Exact counters: the
+  // kernel's FLOP count and its output-bit hash; time and GFLOP/s are
+  // advisory.
+  {
+    const GppSynthetic s = gpp_synthetic(283, 120, 17);
+    const GppDiagKernel kernel(s.model, s.v);
+    const std::vector<double> energies{0.3, 0.35, 0.4, 0.45, 0.5};
+    std::vector<SigmaParts> out;
+    FlopCounter fc;
+    kernel.compute(s.m_ln, s.band_energy, s.n_valence, energies, out,
+                   GppKernelVariant::kOptimized, &fc);
+    const bench::TimingStats t = bench::run_timed([&] {
+      kernel.compute(s.m_ln, s.band_energy, s.n_valence, energies, out);
+    });
+    const double flops = static_cast<double>(fc.total());
+    const std::string key = "gpp_diag/synthetic/ng=283,nb=120,ne=5";
+    suite.series(key)
+        .counter("flops", flops)
+        .counter("bits_lo32", gpp_bits_lo32(out))
+        .value("gflops", flops / t.median_s * 1e-9)
+        .value("threads", static_cast<double>(xgw_num_threads()))
+        .time(t);
+    std::printf("%s: %.4f s, %.2f GFLOP/s\n", key.c_str(), t.median_s,
+                flops / t.median_s * 1e-9);
   }
 
   obs::recorder().disable();

@@ -2,14 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.h"
 
 namespace xgw {
 
 CoulombPotential::CoulombPotential(const Lattice& lattice, const GSphere& sphere,
-                                   CoulombScheme scheme)
-    : scheme_(scheme) {
+                                   CoulombScheme scheme) {
   const idx n = sphere.size();
   const double omega = lattice.cell_volume();
   v_.resize(static_cast<std::size_t>(n));
@@ -71,7 +71,15 @@ CoulombPotential::CoulombPotential(const Lattice& lattice, const GSphere& sphere
     }
     v_[static_cast<std::size_t>(ig)] = v;
   }
+  fill_sqrt_v();
+}
 
+CoulombPotential::CoulombPotential(std::vector<double> values)
+    : v_(std::move(values)) {
+  fill_sqrt_v();
+}
+
+void CoulombPotential::fill_sqrt_v() {
   sqrt_v_.resize(v_.size());
   for (std::size_t i = 0; i < v_.size(); ++i) {
     XGW_REQUIRE(v_[i] > -1e-10, "CoulombPotential: negative v(G)");

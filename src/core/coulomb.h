@@ -39,16 +39,20 @@ class CoulombPotential {
   CoulombPotential(const Lattice& lattice, const GSphere& sphere,
                    CoulombScheme scheme = CoulombScheme::kSphericalAverage);
 
+  /// An explicit v(G) table, e.g. seeded synthetic inputs for the Sigma
+  /// kernels; every value must be non-negative.
+  explicit CoulombPotential(std::vector<double> values);
+
   double operator()(idx ig) const { return v_[static_cast<std::size_t>(ig)]; }
   idx size() const { return static_cast<idx>(v_.size()); }
-  CoulombScheme scheme() const { return scheme_; }
   const std::vector<double>& values() const { return v_; }
 
   /// sqrt(v(G)), used by the symmetrized dielectric matrix.
   double sqrt_v(idx ig) const { return sqrt_v_[static_cast<std::size_t>(ig)]; }
 
  private:
-  CoulombScheme scheme_;
+  void fill_sqrt_v();
+
   std::vector<double> v_;
   std::vector<double> sqrt_v_;
 };

@@ -7,27 +7,13 @@
 #endif
 
 #include "common/error.h"
+#include "common/validate.h"
 #include "core/mtxel.h"
 #include "obs/span.h"
 
 namespace xgw {
 
-namespace {
-
-// Denominator guard: pole terms whose denominator magnitude falls below
-// this are dropped (the BerkeleyGW convention for on-resonance modes).
-constexpr double kDenTol = 1e-8;
-
-// Measured-FLOP bookkeeping constants (real-FLOP equivalents per inner
-// (G, G') iteration): complex mul = 6, complex add = 2, complex div ~ 11,
-// real-complex mul = 2. These make the "Meas." column of Table 3 an actual
-// instrumented count that differs from the Eq. 7 closed form through
-// guard-skipped modes and head/wing handling.
-constexpr std::uint64_t kFlopsSxInner = 6 + 2 + 11 + 2;  // mul+add+div+scale
-constexpr std::uint64_t kFlopsChInner = 6 + 2 + 11 + 6;  // extra wtilde mul
-constexpr std::uint64_t kFlopsOuter = 6 + 6 + 4;         // M* x (...) x M
-
-}  // namespace
+using gpp_detail::kDenTol;
 
 std::vector<cplx> charge_density_box(const Mtxel& mtxel,
                                      const Wavefunctions& wf) {
@@ -115,6 +101,9 @@ void GppDiagKernel::compute(const ZMatrix& m_ln,
                             std::vector<SigmaParts>& out,
                             GppKernelVariant variant, FlopCounter* flops,
                             idx gprime_begin, idx gprime_end) const {
+  using gpp_detail::kFlopsChInner;
+  using gpp_detail::kFlopsOuter;
+  using gpp_detail::kFlopsSxInner;
   const idx nb = m_ln.rows();
   const idx ng = m_ln.cols();
   XGW_REQUIRE(ng == model_.n_g(), "GppDiagKernel: N_G mismatch");
@@ -124,39 +113,27 @@ void GppDiagKernel::compute(const ZMatrix& m_ln,
   XGW_REQUIRE(gprime_begin >= 0 && gprime_begin <= gprime_end &&
                   gprime_end <= ng,
               "GppDiagKernel: bad G' slice");
+  // Corruption entering Sigma is caught at the kernel edge, not in the
+  // final QP energies (fault-tolerance contract; common/validate.h).
+  require_finite(m_ln, "GppDiagKernel: matrix elements M_ln");
 
   const idx ne = static_cast<idx>(e_values.size());
   out.assign(static_cast<std::size_t>(ne), SigmaParts{});
 
   std::uint64_t local_flops = 0;
-
-  // Two-stage deterministic reduction workspace (optimized variant): the G'
-  // range is cut into a FIXED chunk grid independent of the thread count;
-  // stage 1 computes one partial per chunk (each chunk filled sequentially
-  // by exactly one thread), stage 2 reduces the partials serially in
-  // chunk-index order. The floating-point summation order is therefore
-  // identical for every OMP_NUM_THREADS — the self-energy is bitwise
-  // thread-count invariant, unlike the previous `omp critical` reduction
-  // whose thread-arrival order perturbed the last bits.
-  constexpr idx kReduceChunks = 64;
-  const idx gprime_span = gprime_end - gprime_begin;
-  const idx nchunks = std::max<idx>(1, std::min(kReduceChunks, gprime_span));
-  std::vector<cplx> part_sx(static_cast<std::size_t>(nchunks));
-  std::vector<cplx> part_ch(static_cast<std::size_t>(nchunks));
-  std::vector<std::uint64_t> part_fl(static_cast<std::size_t>(nchunks));
-
-  for (idx ie = 0; ie < ne; ++ie) {
-    const double e = e_values[static_cast<std::size_t>(ie)];
-    cplx acc_sx{}, acc_ch{};
-
-    for (idx n = 0; n < nb; ++n) {
-      const double de = e - band_energy[static_cast<std::size_t>(n)];
-      const double de2 = de * de;
-      const bool occ = n < n_valence;
-      const cplx* mrow = m_ln.row(n);
-
-      if (variant == GppKernelVariant::kReference) {
-        // Canonical double loop, divisions in place.
+  if (variant == GppKernelVariant::kOptimized) {
+    local_flops = compute_optimized(m_ln, band_energy, n_valence, e_values,
+                                    out, gprime_begin, gprime_end);
+  } else {
+    // Canonical double loop, divisions in place.
+    for (idx ie = 0; ie < ne; ++ie) {
+      const double e = e_values[static_cast<std::size_t>(ie)];
+      cplx acc_sx{}, acc_ch{};
+      for (idx n = 0; n < nb; ++n) {
+        const double de = e - band_energy[static_cast<std::size_t>(n)];
+        const double de2 = de * de;
+        const bool occ = n < n_valence;
+        const cplx* mrow = m_ln.row(n);
         for (idx gp = gprime_begin; gp < gprime_end; ++gp) {
           const cplx mgp = mrow[gp];
           const double vgp = v_(gp);
@@ -188,73 +165,20 @@ void GppDiagKernel::compute(const ZMatrix& m_ln,
           acc_sx -= col_sx * mgp * vgp;
           acc_ch += col_ch * mgp * vgp;
         }
-      } else {
-        // Optimized: OpenMP over fixed G' chunks with per-chunk partials
-        // (stage 1 of the two-stage reduction), inner G loop streamed over
-        // contiguous rows of the transposed model matrices, divisions
-        // replaced by a single reciprocal-multiply.
-#ifdef _OPENMP
-// The chunk partials are a fixed-order reduction, so the team size never
-// changes results; skip the team entirely when the caller already owns
-// the cores (OpenMP region or sched worker team).
-#pragma omp parallel for schedule(dynamic) num_threads(xgw_num_threads()) \
-    if (!in_parallel_region())
-#endif
-        for (idx chunk = 0; chunk < nchunks; ++chunk) {
-          const idx lo = gprime_begin + chunk * gprime_span / nchunks;
-          const idx hi = gprime_begin + (chunk + 1) * gprime_span / nchunks;
-          cplx p_sx{}, p_ch{};
-          std::uint64_t p_flops = 0;
-          for (idx gp = lo; gp < hi; ++gp) {
-            const cplx mgp = mrow[gp];
-            const double vgp = v_(gp);
-            if (occ) p_sx -= std::conj(mgp) * mgp * vgp;
-            if (mgp == cplx{} && !occ) continue;
-
-            cplx col_sx{}, col_ch{};
-            for (idx g = 0; g < ng; ++g) {
-              const cplx om2 = model_.omega2(g, gp);
-              if (om2 == cplx{}) continue;
-              const cplx wt2 = model_.wtilde2(g, gp);
-              const cplx wt = model_.wtilde(g, gp);
-              const cplx den_sx = de2 - wt2;
-              const cplx den_ch = wt * (de - wt);
-              const cplx mg_conj = std::conj(mrow[g]);
-              if (occ) {
-                const double a2 = std::norm(den_sx);
-                if (a2 > kDenTol * kDenTol) {
-                  // 1/z = conj(z)/|z|^2: one real division, FMA-friendly.
-                  const cplx recip = std::conj(den_sx) * (1.0 / a2);
-                  col_sx += mg_conj * (om2 * recip);
-                  p_flops += kFlopsSxInner;
-                }
-              }
-              const double b2 = std::norm(den_ch);
-              if (b2 > kDenTol * kDenTol) {
-                const cplx recip = std::conj(den_ch) * (1.0 / b2);
-                col_ch += mg_conj * (0.5 * om2 * recip);
-                p_flops += kFlopsChInner;
-              }
-              p_flops += kFlopsOuter;
-            }
-            p_sx -= col_sx * mgp * vgp;
-            p_ch += col_ch * mgp * vgp;
-          }
-          part_sx[static_cast<std::size_t>(chunk)] = p_sx;
-          part_ch[static_cast<std::size_t>(chunk)] = p_ch;
-          part_fl[static_cast<std::size_t>(chunk)] = p_flops;
-        }
-        // Stage 2: serial reduction in chunk-index order (deterministic).
-        for (idx chunk = 0; chunk < nchunks; ++chunk) {
-          acc_sx += part_sx[static_cast<std::size_t>(chunk)];
-          acc_ch += part_ch[static_cast<std::size_t>(chunk)];
-          local_flops += part_fl[static_cast<std::size_t>(chunk)];
-        }
       }
+      out[static_cast<std::size_t>(ie)].sx = acc_sx;
+      out[static_cast<std::size_t>(ie)].ch = acc_ch;
     }
-    out[static_cast<std::size_t>(ie)].sx = acc_sx;
-    out[static_cast<std::size_t>(ie)].ch = acc_ch;
   }
+
+  std::vector<cplx> parts;
+  parts.reserve(2 * out.size());
+  for (const SigmaParts& p : out) {
+    parts.push_back(p.sx);
+    parts.push_back(p.ch);
+  }
+  require_finite(std::span<const cplx>(parts),
+                 "GppDiagKernel: accumulated Sigma_ll(E)");
   obs::attribute_flops(local_flops);
   if (flops != nullptr) flops->add(local_flops);
 }

@@ -5,7 +5,6 @@
 #include <filesystem>
 
 #include "common/error.h"
-#include "common/validate.h"
 #include "io/binio.h"
 #include "la/eig.h"
 #include "obs/span.h"
@@ -247,10 +246,6 @@ std::vector<QpResult> GwCalculation::sigma_diag(const std::vector<idx>& bands,
       }
       if (mtxel_store_) mtxel_store_(l, m_ln);
     }
-    // Corruption entering Sigma is caught at the kernel edge, not in the
-    // final QP energies (fault-tolerance contract; common/validate.h).
-    require_finite(m_ln, "sigma_diag: matrix elements M_ln");
-
     const double e0 = wf.energy[static_cast<std::size_t>(l)];
     std::vector<double> e_vals(static_cast<std::size_t>(n_e_points));
     for (idx i = 0; i < n_e_points; ++i)
@@ -265,10 +260,9 @@ std::vector<QpResult> GwCalculation::sigma_diag(const std::vector<idx>& bands,
                      flops);
     }
 
+    // The kernel rejects non-finite M_ln and Sigma(E) (common/validate.h).
     std::vector<cplx> totals(parts.size());
     for (std::size_t i = 0; i < parts.size(); ++i) totals[i] = parts[i].total();
-    require_finite(std::span<const cplx>(totals),
-                   "sigma_diag: accumulated Sigma_ll(E)");
     const QpSolve qp = solve_qp_linear(e0, e_vals, totals);
 
     QpResult r;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <optional>
+
 #include "sched/executor.h"
 #include "test_helpers.h"
 
@@ -163,6 +166,26 @@ TEST(Sigma, PseudobandSwapInvalidatesCache) {
   const double head_after = gw.epsinv0()(0, 0).real();
   // Severely truncating the conduction space weakens screening: head rises.
   EXPECT_GT(head_after, head_before);
+}
+
+// An Inf delivered through the M_ln cache hook is rejected where it enters
+// the GPP kernel, not in the final QP energies (common/validate.h).
+TEST(Sigma, DiagRejectsNonFiniteMatrixElements) {
+  GwCalculation& gw = si_prim_gw();
+  gw.set_mtxel_cache(
+      [&gw](idx band) -> std::optional<ZMatrix> {
+        ZMatrix m = gw.m_matrix_left(band);
+        m(1, 2) = cplx{std::numeric_limits<double>::infinity(), 0.0};
+        return m;
+      },
+      {});
+  try {
+    gw.sigma_diag({gw.n_valence()});
+    ADD_FAILURE() << "expected a validation throw";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kValidation);
+  }
+  gw.set_mtxel_cache({}, {});
 }
 
 // GPP diag bands run as scheduler tasks when a worker team is requested
