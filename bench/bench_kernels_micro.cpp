@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark): ZGEMM variants, MTXEL, GPP diag
-// reference vs optimized, off-diag ZGEMM chain, the dense eigensolver —
-// the kernel-level numbers behind the table/figure reproductions (FFT
-// boxes: bench_fft).
+// reference vs optimized, off-diag ZGEMM chain, the dense eigensolver and
+// the LU inverse — the kernel-level numbers behind the table/figure
+// reproductions (FFT boxes: bench_fft).
 
 #include <benchmark/benchmark.h>
 
@@ -23,6 +23,7 @@
 #include "la/autotune.h"
 #include "la/eig.h"
 #include "la/gemm.h"
+#include "la/lu.h"
 #include "la/simd.h"
 #include "mf/epm.h"
 #include "mf/hamiltonian.h"
@@ -58,6 +59,13 @@ double heev_bits_lo32(const EigResult& r) {
                     r.values.size() * sizeof(double));
   bytes.append(reinterpret_cast<const char*>(r.vectors.data()),
                static_cast<std::size_t>(r.vectors.size()) * sizeof(cplx));
+  return static_cast<double>(obs::fnv1a(bytes) & 0xffffffffULL);
+}
+
+// Low 32 bits of the FNV-1a hash of a matrix's bits.
+double matrix_bits_lo32(const ZMatrix& m) {
+  const std::string bytes(reinterpret_cast<const char*>(m.data()),
+                          static_cast<std::size_t>(m.size()) * sizeof(cplx));
   return static_cast<double>(obs::fnv1a(bytes) & 0xffffffffULL);
 }
 
@@ -506,6 +514,32 @@ void emit_kernel_json() {
       std::printf("%s: %.4f s at %d threads, %.4f s at 1\n", hc.key.c_str(),
                   t.median_s, xgw_num_threads(), t1.median_s);
     }
+  }
+
+  // Dense inverse at the Si16 eps shape (N_G = 283), the per-frequency
+  // eps^{-1} kernel. Exact counters: n and the output-bit hash. Time at
+  // xgw_num_threads() and, as a value, at one OpenMP thread; both advisory.
+  {
+    const ZMatrix a = random_matrix(283, 283, 283);
+    ZMatrix inv;
+    const bench::TimingStats t = bench::run_timed([&] { inv = invert(a); });
+#ifdef _OPENMP
+    const int saved = omp_get_max_threads();
+    omp_set_num_threads(1);
+#endif
+    const bench::TimingStats t1 = bench::run_timed([&] { inv = invert(a); });
+#ifdef _OPENMP
+    omp_set_num_threads(saved);
+#endif
+    const std::string key = "lu_invert/random/n=283";
+    suite.series(key)
+        .counter("n", static_cast<double>(a.rows()))
+        .counter("bits_lo32", matrix_bits_lo32(inv))
+        .value("threads", static_cast<double>(xgw_num_threads()))
+        .value("serial_s", t1.median_s)
+        .time(t);
+    std::printf("%s: %.4f s at %d threads, %.4f s at 1\n", key.c_str(),
+                t.median_s, xgw_num_threads(), t1.median_s);
   }
 
   // GPP diagonal Sigma kernel at the gpp-sigma-si16 shape (N_G = 283,

@@ -17,23 +17,40 @@
 
 namespace xgw {
 
-ZMatrix epsilon_matrix(const ZMatrix& chi, const CoulombPotential& v) {
+namespace {
+
+// chi <- eps = I - v chi, row by row.
+void form_epsilon_in_place(ZMatrix& chi, const CoulombPotential& v) {
   const idx ng = chi.rows();
   XGW_REQUIRE(chi.cols() == ng && v.size() == ng,
               "epsilon_matrix: size mismatch");
-  ZMatrix eps(ng, ng);
   for (idx i = 0; i < ng; ++i) {
     const double vi = v(i);
-    for (idx j = 0; j < ng; ++j) eps(i, j) = -vi * chi(i, j);
-    eps(i, i) += 1.0;
+    cplx* row = chi.row(i);
+    for (idx j = 0; j < ng; ++j) row[j] = -vi * row[j];
+    row[i] += 1.0;
   }
+}
+
+}  // namespace
+
+ZMatrix epsilon_matrix(const ZMatrix& chi, const CoulombPotential& v) {
+  ZMatrix eps = chi;
+  form_epsilon_in_place(eps, v);
   return eps;
 }
 
-ZMatrix epsilon_inverse(const ZMatrix& chi, const CoulombPotential& v) {
+void epsilon_inverse_in_place(ZMatrix& chi, const CoulombPotential& v) {
   obs::Span span("epsilon_inverse", "epsilon");
   if (span.active()) span.arg("n_g", static_cast<long long>(chi.rows()));
-  return invert(epsilon_matrix(chi, v));
+  form_epsilon_in_place(chi, v);
+  invert_in_place(chi);
+}
+
+ZMatrix epsilon_inverse(const ZMatrix& chi, const CoulombPotential& v) {
+  ZMatrix out = chi;
+  epsilon_inverse_in_place(out, v);
+  return out;
 }
 
 void LowRankEpsInv::apply(const cplx* x, cplx* y) const {
@@ -145,11 +162,12 @@ std::vector<ZMatrix> epsilon_inverse_multi(
         }
         // One frequency at a time through the same NV-Block accumulation as
         // the batched path: bitwise-equal to chi_multi over the grid.
-        const std::vector<ZMatrix> chik = chi_multi(
+        std::vector<ZMatrix> chik = chi_multi(
             mtxel, wf, omegas.subspan(i, 1), opt, nullptr,
             head_values.empty() ? std::span<const cplx>{}
                                 : head_values.subspan(i, 1));
-        out[i] = epsilon_inverse(chik.front(), v);
+        epsilon_inverse_in_place(chik.front(), v);
+        out[i] = std::move(chik.front());
         require_finite(out[i], "epsilon_inverse_multi: eps^{-1}(omega)");
         if (!files.empty()) save_restart_item(files[i], out[i]);
       },

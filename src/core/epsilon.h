@@ -26,7 +26,12 @@ namespace xgw {
 /// Dense eps(omega) = I - v chi.
 ZMatrix epsilon_matrix(const ZMatrix& chi, const CoulombPotential& v);
 
-/// Dense eps^{-1}(omega) via LU.
+/// chi <- eps^{-1}(omega): forms eps = I - v chi in chi's buffer (the same
+/// operations as epsilon_matrix) and inverts it there (invert_in_place), so
+/// the only extra storage is the LU's one N_G x N_G scratch matrix.
+void epsilon_inverse_in_place(ZMatrix& chi, const CoulombPotential& v);
+
+/// Dense eps^{-1}(omega) via LU (a copy, then epsilon_inverse_in_place).
 ZMatrix epsilon_inverse(const ZMatrix& chi, const CoulombPotential& v);
 
 /// Low-rank representation eps^{-1} = I + L R with L: N_G x N_Eig and

@@ -5,13 +5,40 @@
 #include <memory>
 
 #include "common/error.h"
+#include "core/epsilon.h"
 #include "la/gemm.h"
 #include "mem/planner.h"
 #include "mem/tracker.h"
 #include "obs/span.h"
+#include "sched/executor.h"
 #include "sched/run_items.h"
 
 namespace xgw {
+
+namespace {
+
+// chi(omega_k) <- B^k v = -(weight_k / pi) Im[eps^{-1}(omega_k)] v(G'), in
+// chi's own buffer on the full plane-wave path. Im is taken element-wise
+// (the anti-Hermitian part carries the spectrum at q=0 Gamma-only, where
+// eps(omega) is complex-symmetric). The batch tasks and the spill store's
+// recompute closure both call this, so a rebuilt page comes from the same
+// code.
+void chi_to_bv(ZMatrix& chi, const Subspace* sub, const CoulombPotential& v,
+               double weight) {
+  if (sub) {
+    chi = epsilon_inverse_subspace(*sub, chi, v).dense();
+  } else {
+    epsilon_inverse_in_place(chi, v);
+  }
+  const idx ng = chi.rows();
+  const double pref = -weight / kPi;
+  for (idx g = 0; g < ng; ++g) {
+    cplx* row = chi.row(g);
+    for (idx gp = 0; gp < ng; ++gp) row[gp] = pref * row[gp].imag() * v(gp);
+  }
+}
+
+}  // namespace
 
 FfScreening build_ff_screening(GwCalculation& gw, const FfOptions& opt) {
   XGW_REQUIRE(opt.n_freq >= 2, "build_ff_screening: need >= 2 frequencies");
@@ -103,35 +130,24 @@ FfScreening build_ff_screening(GwCalculation& gw, const FfOptions& opt) {
     const ChiOptions copt_c = copt;  // AFTER the planner fixed nv_block
     scr.bv.set_recompute([&gw, omegas, weights, heads_c, copt_c,
                           sub](idx k) -> ZMatrix {
-      const Wavefunctions& wfr = gw.wavefunctions();
-      const CoulombPotential& vr = gw.coulomb();
-      const idx ngr = gw.n_g();
+      const std::size_t i = static_cast<std::size_t>(k);
       std::vector<ZMatrix> chis = chi_multi(
-          gw.mtxel(), wfr,
-          std::span<const double>(omegas).subspan(static_cast<std::size_t>(k),
-                                                  1),
-          copt_c, sub.get(),
-          std::span<const cplx>(heads_c).subspan(static_cast<std::size_t>(k),
-                                                 1));
-      ZMatrix epsinv;
-      if (sub) {
-        epsinv = epsilon_inverse_subspace(*sub, chis[0], vr).dense();
-      } else {
-        epsinv = epsilon_inverse(chis[0], vr);
-      }
-      ZMatrix bv(ngr, ngr);
-      const double pref = -weights[static_cast<std::size_t>(k)] / kPi;
-      for (idx g = 0; g < ngr; ++g)
-        for (idx gp = 0; gp < ngr; ++gp)
-          bv(g, gp) = pref * epsinv(g, gp).imag() * vr(gp);
-      return bv;
+          gw.mtxel(), gw.wavefunctions(),
+          std::span<const double>(omegas).subspan(i, 1), copt_c, sub.get(),
+          std::span<const cplx>(heads_c).subspan(i, 1));
+      chi_to_bv(chis[0], sub.get(), gw.coulomb(), weights[i]);
+      return std::move(chis[0]);
     });
   }
 
   // CHI-0/Transf/CHI-Freq in batches: MTXEL (and the subspace projection)
   // are paid once per PASS, so the planner maximizes the batch first. Each
-  // batch's eps^{-1} matrices become B^k v rows of the store immediately,
-  // keeping at most one batch of chi matrices live.
+  // batch's chi matrices then become B^k v in their own slots, one
+  // scheduler task per frequency (disjoint slots, thread-invariant kernels:
+  // bitwise identical at any worker count), and move into the store in k
+  // order on this thread, since a spilling store is single-threaded. The
+  // epsilon stage therefore holds one batch of N_G x N_G slots plus the
+  // LU's one scratch matrix per worker.
   for (idx f0 = 0; f0 < opt.n_freq; f0 += freq_batch) {
     const idx fb = std::min(freq_batch, opt.n_freq - f0);
     std::vector<ZMatrix> chis;
@@ -147,30 +163,17 @@ FfScreening build_ff_screening(GwCalculation& gw, const FfOptions& opt) {
                                                static_cast<std::size_t>(fb)));
     }
 
-    for (idx dk = 0; dk < fb; ++dk) {
-      const idx k = f0 + dk;
-      ZMatrix epsinv;
-      {
-        obs::Span scope(gw.timers(),"ff_eps_inverse");
-        if (sub) {
-          epsinv = epsilon_inverse_subspace(
-                       *sub, chis[static_cast<std::size_t>(dk)], v)
-                       .dense();
-        } else {
-          epsinv = epsilon_inverse(chis[static_cast<std::size_t>(dk)], v);
-        }
-      }
-
-      // B^k v = -(1/pi) Im[eps^{-1}] * weight * v(G'), with Im taken
-      // element-wise (the anti-Hermitian part carries the spectrum at q=0
-      // Gamma-only where eps(omega) is complex-symmetric).
-      ZMatrix bv(ng, ng);
-      const double pref = -scr.weights[static_cast<std::size_t>(k)] / kPi;
-      for (idx g = 0; g < ng; ++g)
-        for (idx gp = 0; gp < ng; ++gp)
-          bv(g, gp) = pref * epsinv(g, gp).imag() * v(gp);
-      scr.bv.push_back(std::move(bv));
+    {
+      obs::Span scope(gw.timers(), "ff_eps_inverse");
+      sched::run_items(
+          fb,
+          [&](idx dk) {
+            chi_to_bv(chis[static_cast<std::size_t>(dk)], sub.get(), v,
+                      scr.weights[static_cast<std::size_t>(f0 + dk)]);
+          },
+          sched::Executor::default_workers(), "sigma_ff.eps");
     }
+    for (ZMatrix& bv : chis) scr.bv.push_back(std::move(bv));
   }
   return scr;
 }

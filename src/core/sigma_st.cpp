@@ -111,22 +111,20 @@ StScreening build_st_screening(GwCalculation& gw, const StOptions& opt) {
     }
   }
 
-  // eps^{-1}(i omega_k) and W^c(i omega_k) = [eps^{-1} - I] v. Frequencies
-  // are independent (disjoint slots, thread-invariant kernels), so they run
-  // as scheduler tasks at any worker count with bitwise-identical results.
-  std::vector<ZMatrix> wc_w(static_cast<std::size_t>(n));
+  // eps^{-1}(i omega_k) and W^c(i omega_k) = [eps^{-1} - I] v, written into
+  // chi(i omega_k)'s own slot. Frequencies are independent (disjoint slots,
+  // thread-invariant kernels), so they run as scheduler tasks at any worker
+  // count with bitwise-identical results.
   auto compute_w = [&](idx k) {
-    ZMatrix epsinv = epsilon_inverse(chi_w[static_cast<std::size_t>(k)], v);
-    ZMatrix wc(ng, ng);
+    ZMatrix& w = chi_w[static_cast<std::size_t>(k)];
+    epsilon_inverse_in_place(w, v);
     for (idx g = 0; g < ng; ++g) {
-      const cplx* er = epsinv.row(g);
-      cplx* wr = wc.row(g);
+      cplx* wr = w.row(g);
       for (idx gp = 0; gp < ng; ++gp) {
-        const cplx delta = gp == g ? er[gp] - 1.0 : er[gp];
+        const cplx delta = gp == g ? wr[gp] - 1.0 : wr[gp];
         wr[gp] = delta * v(gp);
       }
     }
-    wc_w[static_cast<std::size_t>(k)] = std::move(wc);
   };
   {
     obs::Span scope(gw.timers(), "st_eps_inverse");
@@ -139,7 +137,6 @@ StScreening build_st_screening(GwCalculation& gw, const StOptions& opt) {
       for (idx k = 0; k < n; ++k) compute_w(k);
     }
   }
-  for (auto& c : chi_w) c = ZMatrix();  // chi(i omega) no longer needed
 
   // W^c(i tau_j) = sum_k cos_wt(j, k) W^c(i omega_k), pushed in tau order
   // into the (possibly spilling) store.
@@ -149,7 +146,7 @@ StScreening build_st_screening(GwCalculation& gw, const StOptions& opt) {
       ZMatrix wt(ng, ng);
       for (idx k = 0; k < n; ++k) {
         const double c = scr.grid.cos_wt(j, k);
-        const cplx* src = wc_w[static_cast<std::size_t>(k)].data();
+        const cplx* src = chi_w[static_cast<std::size_t>(k)].data();
         cplx* dst = wt.data();
         const idx sz = ng * ng;
         for (idx i = 0; i < sz; ++i) dst[i] += c * src[i];

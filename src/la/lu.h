@@ -1,8 +1,23 @@
 #pragma once
 
-// Complex LU factorization with partial pivoting, linear solves, and matrix
-// inversion. Used by the Epsilon module to form the inverse dielectric
-// matrix eps^{-1} = [I - v chi]^{-1} (Eq. 3 of the paper).
+// Complex LU factorization with partial pivoting, linear solves and matrix
+// inversion. The Epsilon module forms eps^{-1} = [I - v chi]^{-1} (Eq. 3 of
+// the paper) with invert_in_place, in the buffer that held chi.
+//
+// Solves are row-oriented: after the row permutation, row i of X takes
+// X(i,:) -= L(i,j) X(j,:) for j < i ascending; then, for i descending,
+// X(i,:) -= U(i,j) X(j,:) for j > i ascending and X(i,:) /= U(i,i). Each
+// element sees the same operations in the same order as a column-at-a-time
+// dot-product solve, while the inner loops stream contiguous columns. From
+// n = 128 the right-hand-side columns are split across xgw_num_threads()
+// OpenMP threads (one thread inside an OpenMP region or on a worker team);
+// columns are independent, so any split gives the same bits.
+//
+// Rounding is pinned: lu.cpp compiles with -ffp-contract=off and every
+// complex product is an explicit std::fma of the form GCC 12 fused at -O3
+// -march=native (DESIGN.md, "Rounding-pinned modules"), so the bits do not
+// depend on compiler flags, ISA or thread count. Non-finite input is
+// rejected with ErrorKind::kValidation.
 
 #include <vector>
 
@@ -13,7 +28,8 @@ namespace xgw {
 /// PA = LU factorization holder (L unit-lower and U upper packed in lu).
 class LuFactorization {
  public:
-  /// Factorizes a square matrix; throws xgw::Error on exact singularity.
+  /// Factorizes a square matrix; throws xgw::Error on exact singularity
+  /// and on non-finite entries (kind kValidation).
   explicit LuFactorization(ZMatrix a);
 
   idx n() const { return lu_.rows(); }
@@ -21,30 +37,19 @@ class LuFactorization {
   /// Solve A x = b in place (b becomes x).
   void solve_in_place(std::vector<cplx>& b) const;
 
-  /// Solve A X = B column-by-column; B is n x m, overwritten with X.
+  /// Solve A X = B in place; B is n x m, overwritten with X.
   void solve_in_place(ZMatrix& b) const;
-
-  /// Determinant (product of U diagonal with pivot sign).
-  cplx determinant() const;
-
-  /// Reciprocal condition estimate via ratio of extreme |U_ii| — cheap
-  /// heuristic used to warn about nearly singular dielectric matrices.
-  double rcond_estimate() const;
 
  private:
   ZMatrix lu_;
   std::vector<idx> pivots_;
-  int pivot_sign_ = 1;
 };
 
-/// A^{-1} via LU (allocates the result).
+/// A <- A^{-1}: factorizes in a's buffer, solves the identity into one
+/// n x n scratch matrix and copies the result back.
+void invert_in_place(ZMatrix& a);
+
+/// A^{-1} (a copy, then invert_in_place).
 ZMatrix invert(const ZMatrix& a);
-
-/// Solve A X = B, returning X.
-ZMatrix solve(const ZMatrix& a, const ZMatrix& b);
-
-/// Cholesky factor L (lower) of a Hermitian positive-definite matrix:
-/// A = L L^H. Throws on non-positive-definite input.
-ZMatrix cholesky(const ZMatrix& a);
 
 }  // namespace xgw

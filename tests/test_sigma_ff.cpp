@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "core/sigma_ff.h"
+#include "mem/tracker.h"
+#include "obs/trace.h"
 #include "sched/executor.h"
 #include "test_helpers.h"
 
@@ -133,6 +142,84 @@ TEST(SigmaFF, DiagIsBitwiseInvariantAcrossWorkers) {
     }
   }
   sched::Executor::set_default_workers(0);
+}
+
+bool same_bits(const ZMatrix& a, const ZMatrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.size()) * sizeof(cplx)) == 0;
+}
+
+// Each frequency's eps^{-1} and B^k v run as one scheduler task writing its
+// own slot, so every B^k v must be bitwise independent of the worker count,
+// on the full plane-wave path and on the subspace path.
+TEST(SigmaFF, ScreeningBuildBitwiseInvariantAcrossWorkers) {
+  GwCalculation& gw = si_prim_gw_big_eps();
+  for (double fraction : {0.0, 0.3}) {
+    FfOptions opt;
+    opt.n_freq = 8;
+    opt.subspace_fraction = fraction;
+    sched::Executor::set_default_workers(1);
+    const FfScreening ref = build_ff_screening(gw, opt);
+    for (int workers : {2, 4}) {
+      sched::Executor::set_default_workers(workers);
+      const FfScreening got = build_ff_screening(gw, opt);
+      ASSERT_EQ(got.bv.size(), ref.bv.size());
+      for (idx k = 0; k < static_cast<idx>(ref.bv.size()); ++k)
+        EXPECT_TRUE(same_bits(got.bv.get(k), ref.bv.get(k)))
+            << workers << " workers, subspace fraction " << fraction
+            << ", frequency " << k;
+    }
+  }
+  sched::Executor::set_default_workers(0);
+}
+
+// The epsilon stage turns each chi slot into its B^k v in place: it holds
+// one batch of N_G x N_G slots plus at most one N_G x N_G LU scratch
+// matrix per worker, never chi and B^k v side by side. nv_block = 1 and six
+// bands keep the chi stage's pair workspace ((2 + T) N_c N_G entries for a
+// T-thread chi team, T = 1 here unless XGW_NUM_THREADS overrides it) below
+// one slot, so the epsilon stage sets the build's tracked high-water mark
+// and its span's peak_bytes is exact rather than a lower bound.
+TEST(SigmaFF, EpsilonStageHoldsOneBatchPlusOneScratchPerWorker) {
+  GwParameters p;
+  p.eps_cutoff = 2.0;
+  p.n_bands = 6;
+  GwCalculation gw(EpmModel::silicon(1), p);
+  FfOptions opt;
+  opt.n_freq = 8;
+  opt.chi.nv_block = 1;
+  const int workers = 4;
+#ifdef _OPENMP
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(1);
+#endif
+  sched::Executor::set_default_workers(workers);
+  (void)build_ff_screening(gw, opt);  // warm the MTXEL and FFT caches
+  auto& rec = obs::recorder();
+  rec.enable(obs::detail_level::kKernel);
+  mem::tracker().reset_peak();
+  const std::uint64_t base = mem::tracker().current_bytes();
+  { const FfScreening scr = build_ff_screening(gw, opt); }
+  const std::uint64_t build_peak = mem::tracker().peak_bytes();
+  rec.disable();
+  const auto agg = rec.aggregate();
+  rec.clear();
+  sched::Executor::set_default_workers(0);
+#ifdef _OPENMP
+  omp_set_num_threads(saved);
+#endif
+  ASSERT_TRUE(agg.count("kernel/ff_eps_inverse"));
+  const std::uint64_t eps_peak = agg.at("kernel/ff_eps_inverse").peak_bytes;
+  ASSERT_EQ(eps_peak, build_peak)
+      << "the chi stage set the high-water mark; the epsilon span's peak is "
+         "only a lower bound (N_G = "
+      << gw.n_g() << ", N_c = " << gw.wavefunctions().n_conduction() << ")";
+  const std::uint64_t slot =
+      static_cast<std::uint64_t>(gw.n_g() * gw.n_g()) * sizeof(cplx);
+  EXPECT_LE(eps_peak - base, (opt.n_freq + workers) * slot)
+      << "epsilon stage peak " << (eps_peak - base) / slot << " slots of "
+      << slot << " B";
 }
 
 }  // namespace
