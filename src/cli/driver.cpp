@@ -104,72 +104,104 @@ const std::vector<std::string>& known_input_keys() {
 
 namespace {
 
-EpmModel build_material(const InputFile& in) {
-  const std::string name = in.require_string("material");
-  const idx n = in.get_int("supercell", 1);
+constexpr std::pair<const char*, CoulombScheme> kCoulombNames[] = {
+    {"spherical_average", CoulombScheme::kSphericalAverage},
+    {"spherical_truncate", CoulombScheme::kSphericalTruncate},
+    {"slab", CoulombScheme::kSlabTruncate},
+    {"exclude_head", CoulombScheme::kExcludeHead},
+};
+
+CoulombScheme parse_coulomb(const std::string& name) {
+  for (const auto& [n, scheme] : kCoulombNames)
+    if (name == n) return scheme;
+  XGW_REQUIRE(false, "unknown coulomb scheme '" + name + "'");
+  return CoulombScheme::kSphericalAverage;
+}
+
+}  // namespace
+
+const char* coulomb_name(CoulombScheme s) {
+  for (const auto& [n, scheme] : kCoulombNames)
+    if (s == scheme) return n;
+  return "?";
+}
+
+JobInput read_job_input(const InputFile& in) {
+  JobInput j{};
+  j.job = in.require_string("job");
+  j.material = in.require_string("material");
+  j.supercell = in.get_int("supercell", 1);
+  if (in.has("vacancy")) j.vacancy = in.get_int("vacancy", 0);
+  j.vacuum = in.get_double("vacuum", 16.0);
+
+  GwParameters& p = j.params;
+  p.psi_cutoff = in.get_double("psi_cutoff", p.psi_cutoff);
+  p.eps_cutoff = in.get_double("eps_cutoff", p.eps_cutoff);
+  p.n_bands = in.get_int("n_bands", p.n_bands);
+  p.eta = in.get_double("eta", p.eta);
+  p.nv_block = in.get_int("nv_block", p.nv_block);
+  if (in.has("coulomb")) p.coulomb = parse_coulomb(in.require_string("coulomb"));
+
+  j.pseudobands = in.get_bool("pseudobands", false);
+  j.pseudobands_options.n_xi =
+      in.get_int("pseudobands_nxi", j.pseudobands_options.n_xi);
+
+  j.sigma_method = in.get_string("sigma_method", "gpp");
+  XGW_REQUIRE_KIND(j.sigma_method == "gpp" || j.sigma_method == "space_time",
+                   "unknown sigma_method '" + j.sigma_method + "'",
+                   ErrorKind::kValidation);
+  j.n_tau = in.get_int("n_tau", StOptions{}.n_tau);
+  j.n_e_points = in.get_int(
+      "n_e_points",
+      j.job == "sigma_offdiag" ? 12 : j.job == "gwpt" ? 2 : 3);
+  j.e_step = in.get_double("e_step", 0.02);
+  j.sigma_bands = in.get_int_list("sigma_bands");
+  j.n_freq = in.get_int("n_freq", j.job == "ff" ? 24 : 0);
+  XGW_REQUIRE(j.n_freq >= 0, "input key 'n_freq' must be >= 0");
+  j.ff_eta = in.get_double("eta", FfOptions{}.eta);
+
+  // `memory_budget_mb` wins; otherwise `memory_budget_machine` uses the
+  // named platform's per-GPU HBM capacity.
+  j.memory_budget_mb = in.get_double("memory_budget_mb", 0.0);
+  if (j.memory_budget_mb <= 0.0 && in.has("memory_budget_machine"))
+    j.memory_budget_mb =
+        machine_by_name(in.require_string("memory_budget_machine"))
+            .hbm_per_gpu /
+        (1024.0 * 1024.0);
+  return j;
+}
+
+EpmModel build_material(const JobInput& in) {
+  const std::string& name = in.material;
+  const idx n = in.supercell;
   EpmModel model = [&] {
     if (name == "silicon" || name == "si") return EpmModel::silicon(n);
     if (name == "lih") return EpmModel::lih(n);
     if (name == "bn") return EpmModel::bn(n);
-    if (name == "bn_monolayer")
-      return EpmModel::bn_monolayer(n, in.get_double("vacuum", 16.0));
+    if (name == "bn_monolayer") return EpmModel::bn_monolayer(n, in.vacuum);
     XGW_REQUIRE(false, "unknown material '" + name + "'");
     return EpmModel::silicon(1);
   }();
-  if (in.has("vacancy")) model = model.with_vacancy(in.get_int("vacancy", 0));
+  if (in.vacancy) model = model.with_vacancy(*in.vacancy);
   return model;
 }
 
-GwParameters build_params(const InputFile& in) {
-  GwParameters p;
-  p.psi_cutoff = in.get_double("psi_cutoff", -1.0);
-  p.eps_cutoff = in.get_double("eps_cutoff", -1.0);
-  p.n_bands = in.get_int("n_bands", -1);
-  p.eta = in.get_double("eta", 1e-3);
-  p.nv_block = in.get_int("nv_block", 8);
-  const std::string c = in.get_string("coulomb", "spherical_average");
-  if (c == "spherical_average")
-    p.coulomb = CoulombScheme::kSphericalAverage;
-  else if (c == "spherical_truncate")
-    p.coulomb = CoulombScheme::kSphericalTruncate;
-  else if (c == "slab")
-    p.coulomb = CoulombScheme::kSlabTruncate;
-  else if (c == "exclude_head")
-    p.coulomb = CoulombScheme::kExcludeHead;
-  else
-    XGW_REQUIRE(false, "unknown coulomb scheme '" + c + "'");
-  return p;
+namespace {
+
+std::vector<idx> sigma_bands(const JobInput& ji, const GwCalculation& gw) {
+  if (!ji.sigma_bands.empty()) return ji.sigma_bands;
+  return {gw.n_valence() - 1, gw.n_valence()};
 }
 
-std::vector<idx> sigma_bands(const InputFile& in, const GwCalculation& gw) {
-  std::vector<idx> bands = in.get_int_list("sigma_bands");
-  if (bands.empty())
-    bands = {gw.n_valence() - 1, gw.n_valence()};
-  return bands;
-}
-
-void maybe_compress(const InputFile& in, GwCalculation& gw) {
-  if (!in.get_bool("pseudobands", false)) return;
-  PseudobandsOptions opt;
-  opt.n_xi = in.get_int("pseudobands_nxi", 3);
-  gw.set_wavefunctions(build_pseudobands(gw.wavefunctions(), opt));
+void maybe_compress(const JobInput& ji, GwCalculation& gw) {
+  if (!ji.pseudobands) return;
+  gw.set_wavefunctions(
+      build_pseudobands(gw.wavefunctions(), ji.pseudobands_options));
 }
 
 void print_header(std::ostream& os, const GwCalculation& gw) {
   os << "system: N_G^psi = " << gw.n_g_psi() << ", N_G = " << gw.n_g()
      << ", N_b = " << gw.n_bands() << ", N_v = " << gw.n_valence() << "\n";
-}
-
-/// Memory budget in MB: `memory_budget_mb` wins; otherwise
-/// `memory_budget_machine` uses the named platform's per-GPU HBM capacity.
-/// 0 = no budget (everything stays in-core, no blocking pressure).
-double resolve_budget_mb(const InputFile& in) {
-  double budget = in.get_double("memory_budget_mb", 0.0);
-  if (budget <= 0.0 && in.has("memory_budget_machine"))
-    budget = machine_by_name(in.require_string("memory_budget_machine"))
-                 .hbm_per_gpu /
-             (1024.0 * 1024.0);
-  return budget;
 }
 
 /// Solve the NV-Block / CHI-Freq plan for this calculation's Table-2 sizes
@@ -191,21 +223,20 @@ mem::MemPlan plan_for(const GwCalculation& gw, double budget_mb, idx nfreq) {
 /// Apply the budget to a job that runs CHI_SUM through GwCalculation (the
 /// planner's nv_block changes results only at roundoff level, so this
 /// shapes memory, not physics).
-void apply_budget(const InputFile& in, GwCalculation& gw, idx nfreq,
+void apply_budget(const JobInput& ji, GwCalculation& gw, idx nfreq,
                   std::ostream& os) {
-  const double budget_mb = resolve_budget_mb(in);
-  if (budget_mb <= 0.0) return;
-  const mem::MemPlan plan = plan_for(gw, budget_mb, nfreq);
+  if (ji.memory_budget_mb <= 0.0) return;
+  const mem::MemPlan plan = plan_for(gw, ji.memory_budget_mb, nfreq);
   gw.set_nv_block(plan.nv_block);
   os << "mem_plan " << plan.describe() << "\n";
 }
 
-int job_bands(const InputFile& in, std::ostream& os) {
-  const EpmModel model = build_material(in);
+int job_bands(const JobInput& ji, const InputFile& in, std::ostream& os) {
+  const EpmModel model = build_material(ji);
   const idx segs = in.get_int("band_segments", 12);
   const auto bands = band_path(model, fcc_lgx_path(), segs,
                                model.n_valence_bands() + 4,
-                               in.get_double("psi_cutoff", -1.0));
+                               ji.params.psi_cutoff);
   os << "# k_path";
   for (idx b = 0; b < model.n_valence_bands() + 4; ++b) os << " band" << b;
   os << "\n" << std::fixed << std::setprecision(4);
@@ -220,20 +251,19 @@ int job_bands(const InputFile& in, std::ostream& os) {
   return 0;
 }
 
-int job_epsilon(const InputFile& in, std::ostream& os) {
-  GwCalculation gw(build_material(in), build_params(in));
+int job_epsilon(const JobInput& ji, const InputFile& in, std::ostream& os) {
+  GwCalculation gw(build_material(ji), ji.params);
   if (in.has("input_wfn"))
     gw.set_wavefunctions(read_wavefunctions(in.require_string("input_wfn")));
-  maybe_compress(in, gw);
+  maybe_compress(ji, gw);
   print_header(os, gw);
-  apply_budget(in, gw, in.has("n_freq") ? in.get_int("n_freq", 8) : 1, os);
+  apply_budget(ji, gw, std::max<idx>(ji.n_freq, 1), os);
   os << std::fixed << std::setprecision(6);
   os << "epsinv_head " << gw.epsinv0()(0, 0).real() << "\n";
-  if (in.has("n_freq")) {
+  if (ji.n_freq > 0) {
     // Imaginary-axis frequency sweep with restart: an interrupted job
     // rerun with the same input resumes where it stopped.
-    const QuadratureRule rule =
-        gauss_legendre_semi_infinite(in.get_int("n_freq", 8), 1.0);
+    const QuadratureRule rule = gauss_legendre_semi_infinite(ji.n_freq, 1.0);
     ChiOptions copt;
     copt.eta = gw.params().eta;
     copt.nv_block = gw.params().nv_block;
@@ -257,13 +287,14 @@ int job_epsilon(const InputFile& in, std::ostream& os) {
 /// Space-time (minimax i tau / i omega) route for job `sigma`, selected
 /// with `sigma_method space_time`. The memory budget goes to StOptions
 /// (build_st_screening runs its own planner pass) instead of apply_budget.
-int run_sigma_st(const InputFile& in, GwCalculation& gw, std::ostream& os) {
+int run_sigma_st(const JobInput& ji, const InputFile& in, GwCalculation& gw,
+                 std::ostream& os) {
   StOptions so;
-  so.n_tau = in.get_int("n_tau", 14);
+  so.n_tau = ji.n_tau;
   so.eta = gw.params().eta;
   so.chi.nv_block = gw.params().nv_block;
-  so.memory_budget_mb = resolve_budget_mb(in);
-  so.spill_dir = in.get_string("spill_dir", "xgw_spill");
+  so.memory_budget_mb = ji.memory_budget_mb;
+  so.spill_dir = in.get_string("spill_dir", so.spill_dir);
   if (in.has("n_tau")) os << "n_tau " << so.n_tau << "\n";
   const StScreening scr = build_st_screening(gw, so);
   if (scr.wtau.spilling())
@@ -271,7 +302,7 @@ int run_sigma_st(const InputFile& in, GwCalculation& gw, std::ostream& os) {
        << static_cast<double>(scr.wtau.pool()->budget_bytes()) /
               (1024.0 * 1024.0)
        << "\n";
-  const auto res = sigma_st_diag(gw, scr, sigma_bands(in, gw), so);
+  const auto res = sigma_st_diag(gw, scr, sigma_bands(ji, gw), so);
   // Deterministic counters (exact-gated by bench_spacetime / CI smoke).
   os << "st_grid_n_tau " << scr.n_tau << "\n"
      << "st_tau_batches " << scr.tau_batches << "\n";
@@ -286,22 +317,18 @@ int run_sigma_st(const InputFile& in, GwCalculation& gw, std::ostream& os) {
   return 0;
 }
 
-int job_sigma(const InputFile& in, std::ostream& os) {
-  GwCalculation gw(build_material(in), build_params(in));
+int job_sigma(const JobInput& ji, const InputFile& in, std::ostream& os) {
+  GwCalculation gw(build_material(ji), ji.params);
   if (in.has("input_wfn"))
     gw.set_wavefunctions(read_wavefunctions(in.require_string("input_wfn")));
-  maybe_compress(in, gw);
+  maybe_compress(ji, gw);
   print_header(os, gw);
-  const std::string method = in.get_string("sigma_method", "gpp");
-  XGW_REQUIRE(method == "gpp" || method == "space_time",
-              "unknown sigma_method '" + method + "'");
-  if (in.has("sigma_method")) os << "sigma_method " << method << "\n";
-  if (method == "space_time") return run_sigma_st(in, gw, os);
-  apply_budget(in, gw, 1, os);
-  const auto qp = gw.sigma_diag(
-      sigma_bands(in, gw), in.get_int("n_e_points", 3),
-      in.get_double("e_step", 0.02), GppKernelVariant::kOptimized, nullptr,
-      in.get_string("checkpoint", ""));
+  if (in.has("sigma_method")) os << "sigma_method " << ji.sigma_method << "\n";
+  if (ji.sigma_method == "space_time") return run_sigma_st(ji, in, gw, os);
+  apply_budget(ji, gw, 1, os);
+  const auto qp = gw.sigma_diag(sigma_bands(ji, gw), ji.n_e_points, ji.e_step,
+                                GppKernelVariant::kOptimized, nullptr,
+                                in.get_string("checkpoint", ""));
   os << std::fixed << std::setprecision(4);
   os << "band   E_MF(eV)   SX(eV)   CH(eV)   Z      E_QP(eV)\n";
   for (const QpResult& r : qp)
@@ -313,35 +340,35 @@ int job_sigma(const InputFile& in, std::ostream& os) {
   return 0;
 }
 
-int job_sigma_offdiag(const InputFile& in, std::ostream& os) {
-  GwCalculation gw(build_material(in), build_params(in));
-  maybe_compress(in, gw);
+int job_sigma_offdiag(const JobInput& ji, const InputFile&, std::ostream& os) {
+  GwCalculation gw(build_material(ji), ji.params);
+  maybe_compress(ji, gw);
   print_header(os, gw);
-  const std::vector<idx> bands = sigma_bands(in, gw);
-  const auto e_full = gw.dyson_full_solve(bands, in.get_int("n_e_points", 12));
+  const auto e_full = gw.dyson_full_solve(sigma_bands(ji, gw), ji.n_e_points);
   os << std::fixed << std::setprecision(4);
   os << "full Dyson quasiparticle energies (eV):\n";
   for (double e : e_full) os << "  " << e * kHartreeToEv << "\n";
   return 0;
 }
 
-int job_ff(const InputFile& in, std::ostream& os) {
-  GwCalculation gw(build_material(in), build_params(in));
-  maybe_compress(in, gw);
+int job_ff(const JobInput& ji, const InputFile& in, std::ostream& os) {
+  GwCalculation gw(build_material(ji), ji.params);
+  maybe_compress(ji, gw);
   print_header(os, gw);
   FfOptions fo;
-  fo.n_freq = in.get_int("n_freq", 24);
-  fo.subspace_fraction = in.get_double("subspace_fraction", 0.0);
-  fo.chi.nv_block = in.get_int("nv_block", fo.chi.nv_block);
-  fo.memory_budget_mb = resolve_budget_mb(in);
-  fo.spill_dir = in.get_string("spill_dir", "xgw_spill");
+  fo.n_freq = ji.n_freq;
+  fo.eta = ji.ff_eta;
+  fo.subspace_fraction = in.get_double("subspace_fraction", fo.subspace_fraction);
+  fo.chi.nv_block = ji.params.nv_block;
+  fo.memory_budget_mb = ji.memory_budget_mb;
+  fo.spill_dir = in.get_string("spill_dir", fo.spill_dir);
   const FfScreening scr = build_ff_screening(gw, fo);
   if (scr.bv.spilling())
     os << "mem_spill resident_mb "
        << static_cast<double>(scr.bv.pool()->budget_bytes()) /
               (1024.0 * 1024.0)
        << "\n";
-  const auto res = sigma_ff_diag(gw, scr, sigma_bands(in, gw));
+  const auto res = sigma_ff_diag(gw, scr, sigma_bands(ji, gw), ji.ff_eta);
   os << std::fixed << std::setprecision(4);
   os << "band   E_MF(eV)   SigX(eV)   SigC(eV)   E_QP(eV)\n";
   for (const FfResult& r : res)
@@ -352,13 +379,13 @@ int job_ff(const InputFile& in, std::ostream& os) {
   return 0;
 }
 
-int job_cohsex(const InputFile& in, std::ostream& os) {
-  GwCalculation gw(build_material(in), build_params(in));
+int job_cohsex(const JobInput& ji, const InputFile&, std::ostream& os) {
+  GwCalculation gw(build_material(ji), ji.params);
   print_header(os, gw);
-  const auto res = cohsex_diag(gw, sigma_bands(in, gw));
+  const auto bands = sigma_bands(ji, gw);
+  const auto res = cohsex_diag(gw, bands);
   os << std::fixed << std::setprecision(4);
   os << "band   SEX(eV)   COH(eV)   total(eV)\n";
-  const auto bands = sigma_bands(in, gw);
   for (std::size_t i = 0; i < res.size(); ++i)
     os << bands[i] << "  " << res[i].sex.real() * kHartreeToEv << "  "
        << res[i].coh.real() * kHartreeToEv << "  "
@@ -366,13 +393,13 @@ int job_cohsex(const InputFile& in, std::ostream& os) {
   return 0;
 }
 
-int job_evgw(const InputFile& in, std::ostream& os) {
-  GwCalculation gw(build_material(in), build_params(in));
+int job_evgw(const JobInput& ji, const InputFile& in, std::ostream& os) {
+  GwCalculation gw(build_material(ji), ji.params);
   print_header(os, gw);
   EvGwOptions opt;
   opt.max_iter = in.get_int("evgw_max_iter", 8);
   opt.mixing = in.get_double("evgw_mixing", 0.7);
-  const EvGwResult res = evgw(gw, sigma_bands(in, gw), opt);
+  const EvGwResult res = evgw(gw, sigma_bands(ji, gw), opt);
   os << std::fixed << std::setprecision(4);
   for (std::size_t it = 0; it < res.history.size(); ++it) {
     os << "iter " << it << ":";
@@ -385,8 +412,8 @@ int job_evgw(const InputFile& in, std::ostream& os) {
   return res.converged ? 0 : 2;
 }
 
-int job_rpa(const InputFile& in, std::ostream& os) {
-  GwCalculation gw(build_material(in), build_params(in));
+int job_rpa(const JobInput& ji, const InputFile& in, std::ostream& os) {
+  GwCalculation gw(build_material(ji), ji.params);
   print_header(os, gw);
   RpaOptions opt;
   opt.n_freq = in.get_int("rpa_n_freq", 16);
@@ -399,8 +426,8 @@ int job_rpa(const InputFile& in, std::ostream& os) {
   return 0;
 }
 
-int job_bse(const InputFile& in, std::ostream& os) {
-  GwCalculation gw(build_material(in), build_params(in));
+int job_bse(const JobInput& ji, const InputFile& in, std::ostream& os) {
+  GwCalculation gw(build_material(ji), ji.params);
   print_header(os, gw);
   BseOptions opt;
   opt.n_val = in.get_int("bse_nval", 3);
@@ -421,12 +448,12 @@ int job_bse(const InputFile& in, std::ostream& os) {
   return 0;
 }
 
-int job_gwpt(const InputFile& in, std::ostream& os) {
-  GwCalculation gw(build_material(in), build_params(in));
+int job_gwpt(const JobInput& ji, const InputFile&, std::ostream& os) {
+  GwCalculation gw(build_material(ji), ji.params);
   print_header(os, gw);
-  const std::vector<idx> bands = sigma_bands(in, gw);
+  const std::vector<idx> bands = sigma_bands(ji, gw);
   GwptOptions go;
-  go.n_e_points = in.get_int("n_e_points", 2);
+  go.n_e_points = ji.n_e_points;
   GwptCalculation gwpt(gw, go);
   os << std::fixed << std::setprecision(4);
   const idx natoms = gw.hamiltonian().model().crystal().n_atoms();
@@ -447,10 +474,10 @@ int job_gwpt(const InputFile& in, std::ostream& os) {
   return 0;
 }
 
-int job_phonons(const InputFile& in, std::ostream& os) {
-  const EpmModel model = build_material(in);
-  const double cutoff = in.get_double("psi_cutoff", model.default_cutoff());
-  const DMatrix phi = force_constants(model, cutoff);
+int job_phonons(const JobInput& ji, const InputFile&, std::ostream& os) {
+  const EpmModel model = build_material(ji);
+  // psi_cutoff <= 0 selects the model's default cutoff (PwHamiltonian).
+  const DMatrix phi = force_constants(model, ji.params.psi_cutoff);
   const PhononModes modes = phonon_modes(model, phi);
   os << std::fixed << std::setprecision(3);
   os << "Gamma phonon modes (meV):\n";
@@ -463,19 +490,19 @@ int job_phonons(const InputFile& in, std::ostream& os) {
   return 0;
 }
 
-int dispatch_job(const std::string& job, const InputFile& in,
-                 std::ostream& os) {
-  if (job == "bands") return job_bands(in, os);
-  if (job == "epsilon") return job_epsilon(in, os);
-  if (job == "sigma") return job_sigma(in, os);
-  if (job == "sigma_offdiag") return job_sigma_offdiag(in, os);
-  if (job == "ff") return job_ff(in, os);
-  if (job == "cohsex") return job_cohsex(in, os);
-  if (job == "evgw") return job_evgw(in, os);
-  if (job == "rpa") return job_rpa(in, os);
-  if (job == "bse") return job_bse(in, os);
-  if (job == "gwpt") return job_gwpt(in, os);
-  if (job == "phonons") return job_phonons(in, os);
+int dispatch_job(const JobInput& ji, const InputFile& in, std::ostream& os) {
+  const std::string& job = ji.job;
+  if (job == "bands") return job_bands(ji, in, os);
+  if (job == "epsilon") return job_epsilon(ji, in, os);
+  if (job == "sigma") return job_sigma(ji, in, os);
+  if (job == "sigma_offdiag") return job_sigma_offdiag(ji, in, os);
+  if (job == "ff") return job_ff(ji, in, os);
+  if (job == "cohsex") return job_cohsex(ji, in, os);
+  if (job == "evgw") return job_evgw(ji, in, os);
+  if (job == "rpa") return job_rpa(ji, in, os);
+  if (job == "bse") return job_bse(ji, in, os);
+  if (job == "gwpt") return job_gwpt(ji, in, os);
+  if (job == "phonons") return job_phonons(ji, in, os);
   XGW_REQUIRE(false, "unknown job '" + job + "'");
   return 1;
 }
@@ -495,18 +522,6 @@ std::string canonical_config(const InputFile& in) {
 }
 
 }  // namespace
-
-EpmModel build_material_from_input(const InputFile& in) {
-  return build_material(in);
-}
-
-GwParameters build_params_from_input(const InputFile& in) {
-  return build_params(in);
-}
-
-double resolve_memory_budget_mb(const InputFile& in) {
-  return resolve_budget_mb(in);
-}
 
 std::vector<std::string> read_job_manifest(const std::string& path) {
   std::ifstream is(path);
@@ -552,19 +567,19 @@ int run_job_files(const std::vector<std::string>& paths, std::ostream& os) {
 }
 
 int run_job(const InputFile& in, std::ostream& os) {
-  const std::string job = in.require_string("job");
+  const JobInput ji = read_job_input(in);
+  const std::string& job = ji.job;
 
   // Only the GPP Sigma band loop and the imaginary-axis epsilon sweep keep
   // restart files; anywhere else a `checkpoint` key would be silently
   // ignored and the user would learn it only after a kill.
   if (in.has("checkpoint")) {
-    const std::string method = in.get_string("sigma_method", "gpp");
-    const bool restarts = (job == "sigma" && method == "gpp") ||
-                          (job == "epsilon" && in.has("n_freq"));
+    const bool restarts = (job == "sigma" && ji.sigma_method == "gpp") ||
+                          (job == "epsilon" && ji.n_freq > 0);
     XGW_REQUIRE_KIND(
         restarts,
         "input key 'checkpoint' has no effect for job '" + job + "'" +
-            (job == "sigma" ? " with sigma_method " + method : "") +
+            (job == "sigma" ? " with sigma_method " + ji.sigma_method : "") +
             ": only job sigma with sigma_method gpp and job epsilon with "
             "n_freq write restart files",
         ErrorKind::kValidation);
@@ -620,7 +635,7 @@ int run_job(const InputFile& in, std::ostream& os) {
   {
     const std::string stage = "job:" + job;
     obs::Span span(stage.c_str(), "stage", obs::detail_level::kStage);
-    rc = dispatch_job(job, in, os);
+    rc = dispatch_job(ji, in, os);
   }
 
   if (observe) {

@@ -18,12 +18,14 @@
 // Returns 0 on success; all output goes to the provided stream.
 
 #include <iosfwd>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "cli/input.h"
 #include "core/sigma.h"
+#include "pseudobands/pseudobands.h"
 
 namespace xgw {
 
@@ -47,21 +49,52 @@ const std::vector<std::string>& known_input_keys();
 
 int run_job(const InputFile& in, std::ostream& os);
 
-// --- shared spec builders -------------------------------------------------
+// --- the job reader -------------------------------------------------------
 //
-// The serve batch layer canonicalizes job specs through the SAME builders
-// the per-job dispatchers use, so a spec means one thing whether it runs
-// standalone or through the cache.
+// One reader for every key the serve layer keys (serve/spec.h): the
+// per-job dispatchers and serve::resolve_spec both take their values from
+// read_job_input, so a cache key always names the physics a run computes.
+// Each default lives in one place: the library option struct the value
+// lands in (GwParameters, StOptions, PseudobandsOptions, FfOptions) or
+// read_job_input itself, which also owns the job-dependent ones.
 
-/// The material an input file describes (material/supercell/vacancy/vacuum).
-EpmModel build_material_from_input(const InputFile& in);
+struct JobInput {
+  std::string job;
+  // Material identity.
+  std::string material;        ///< as written ("si" and "silicon" key apart)
+  idx supercell;
+  std::optional<idx> vacancy;  ///< atom removed from the supercell, if any
+  double vacuum;               ///< bn_monolayer vacuum (Bohr)
+  GwParameters params;  ///< psi_cutoff, eps_cutoff, n_bands, coulomb, eta, nv_block
+  bool pseudobands;
+  PseudobandsOptions pseudobands_options;  ///< n_xi from pseudobands_nxi
+  // Sigma request.
+  std::string sigma_method;      ///< "gpp" | "space_time"
+  idx n_tau;
+  idx n_e_points;                ///< sigma 3, sigma_offdiag 12, gwpt 2
+  double e_step;
+  std::vector<idx> sigma_bands;  ///< empty: the gap pair {N_v - 1, N_v}
+  idx n_freq;                    ///< ff 24; other jobs 0 (no sweep)
+  double ff_eta;                 ///< job ff's broadening: eta, else FfOptions{}
+  double memory_budget_mb;       ///< 0 = no budget
+};
 
-/// The GW parameter set (cutoffs, eta, nv_block, coulomb scheme).
-GwParameters build_params_from_input(const InputFile& in);
+/// Parses and validates every JobInput key of `in`, defaults applied.
+JobInput read_job_input(const InputFile& in);
 
-/// Memory budget in MB from `memory_budget_mb` / `memory_budget_machine`;
-/// 0 = no budget.
-double resolve_memory_budget_mb(const InputFile& in);
+/// The material a job describes (material/supercell/vacancy/vacuum).
+EpmModel build_material(const JobInput& in);
+
+/// The `coulomb` input value naming `s`.
+const char* coulomb_name(CoulombScheme s);
+
+inline EpmModel build_material_from_input(const InputFile& in) {
+  return build_material(read_job_input(in));
+}
+
+inline GwParameters build_params_from_input(const InputFile& in) {
+  return read_job_input(in).params;
+}
 
 // --- batch mode -----------------------------------------------------------
 

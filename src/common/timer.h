@@ -31,32 +31,6 @@ class Stopwatch {
 /// (MTXEL / CHI_SUM / GPP ...) printed at end of run.
 class TimerRegistry {
  public:
-  /// RAII region: accumulates elapsed time into the named slot on scope exit.
-  ///
-  /// DEPRECATED — new code should use obs::Span (obs/span.h), which nests,
-  /// is move-safe, attaches FLOP/byte counters, and shows up in the Chrome
-  /// trace. This class stays as the zero-dependency fallback and is what
-  /// the Span(TimerRegistry&, ...) compatibility overload feeds. Scope
-  /// itself is intentionally neither copyable NOR movable: a copy would
-  /// run ~Scope twice and double-count the region (the historical `add`
-  /// misuse), and a move would leave a destructor running on a moved-from
-  /// stopwatch. obs::Span handles moves correctly.
-  class Scope {
-   public:
-    Scope(TimerRegistry& reg, std::string name)
-        : reg_(reg), name_(std::move(name)) {}
-    ~Scope() { reg_.add(name_, sw_.elapsed()); }
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-    Scope(Scope&&) = delete;
-    Scope& operator=(Scope&&) = delete;
-
-   private:
-    TimerRegistry& reg_;
-    std::string name_;
-    Stopwatch sw_;
-  };
-
   /// Thread-safe: regions may close on concurrent scheduler workers.
   void add(const std::string& name, double seconds) {
     std::lock_guard<std::mutex> lock(mu_);

@@ -97,38 +97,45 @@ const Mtxel& GwCalculation::mtxel() const {
   return *mtxel_;
 }
 
+// Each stage resolves the stages it consumes before opening its own timer
+// region, so the timer rows are exclusive and add up to the work done.
+
 const ZMatrix& GwCalculation::chi0() const {
   if (!chi0_) {
-    obs::Span scope(timers_,"chi_sum(static)");
+    const Wavefunctions& wf = wavefunctions();
+    const Mtxel& mx = mtxel();
+    obs::Span scope(timers_, "chi_sum(static)");
     ChiOptions opt;
     opt.eta = params_.eta;
     opt.nv_block = params_.nv_block;
     if (params_.head_correction) {
       const cplx chi_bar =
-          chi_head_reduced(wavefunctions(), ham_.sphere(),
-                           model_.crystal().lattice(), 0.0, params_.eta);
+          chi_head_reduced(wf, ham_.sphere(), model_.crystal().lattice(), 0.0,
+                           params_.eta);
       opt.head_value = chi_head_value(chi_bar, coulomb_,
                                       model_.crystal().lattice());
     }
-    chi0_ = chi_static(mtxel(), wavefunctions(), opt);
+    chi0_ = chi_static(mx, wf, opt);
   }
   return *chi0_;
 }
 
 const ZMatrix& GwCalculation::epsinv0() const {
   if (!epsinv0_) {
-    obs::Span scope(timers_,"epsilon_inverse(0)");
-    epsinv0_ = epsilon_inverse(chi0(), coulomb_);
+    const ZMatrix& chi = chi0();
+    obs::Span scope(timers_, "epsilon_inverse(0)");
+    epsinv0_ = epsilon_inverse(chi, coulomb_);
   }
   return *epsinv0_;
 }
 
 const GppModel& GwCalculation::gpp() const {
   if (!gpp_) {
-    obs::Span scope(timers_,"gpp_model");
-    gpp_ = build_gpp_model(epsinv0(), coulomb_, eps_sphere_,
-                           model_.crystal().lattice(), mtxel(),
-                           wavefunctions());
+    const ZMatrix& epsinv = epsinv0();
+    const Mtxel& mx = mtxel();
+    obs::Span scope(timers_, "gpp_model");
+    gpp_ = build_gpp_model(epsinv, coulomb_, eps_sphere_,
+                           model_.crystal().lattice(), mx, wavefunctions());
   }
   return *gpp_;
 }

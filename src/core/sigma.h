@@ -114,9 +114,11 @@ class GwCalculation {
   }
 
   /// Override the NV-Block size after construction (the mem::Planner plugs
-  /// in here once a memory budget is known). NV-Block results are bitwise
-  /// invariant under the block size, so this never changes answers — only
-  /// the CHI_SUM working-set footprint. Must be called before chi0() runs.
+  /// in here once a memory budget is known). The block size sets CHI_SUM's
+  /// working-set footprint and its summation order, so chi moves at
+  /// roundoff level, not bitwise (ChiFixture.NvBlockInvariance holds it to
+  /// 1e-12; serve keys nv_block for this reason). Must be called before
+  /// chi0() runs.
   void set_nv_block(idx nv_block) {
     XGW_REQUIRE(nv_block >= 1, "set_nv_block: need nv_block >= 1");
     params_.nv_block = nv_block;

@@ -73,9 +73,10 @@ FfScreening build_ff_screening(GwCalculation& gw, const FfOptions& opt) {
   // spill-store recompute closure below, which may outlive this scope.
   std::shared_ptr<Subspace> sub;
   if (opt.n_eig > 0 || opt.subspace_fraction > 0.0) {
-    obs::Span scope(gw.timers(),"ff_subspace_build");
+    const ZMatrix& chi0 = gw.chi0();
+    obs::Span scope(gw.timers(), "ff_subspace_build");
     sub = std::make_shared<Subspace>(
-        build_subspace(gw.chi0(), v, opt.n_eig, opt.subspace_fraction));
+        build_subspace(chi0, v, opt.n_eig, opt.subspace_fraction));
     scr.n_eig_used = sub->n_eig();
   }
 
@@ -273,8 +274,7 @@ std::vector<ZMatrix> sigma_ff_offdiag(GwCalculation& gw,
                                       const FfScreening& scr,
                                       const std::vector<idx>& bands,
                                       std::span<const double> e_grid,
-                                      double eta, FlopCounter* flops,
-                                      idx gprime_slice) {
+                                      double eta, FlopCounter* flops) {
   XGW_REQUIRE(!bands.empty() && !e_grid.empty(),
               "sigma_ff_offdiag: empty band set or grid");
   const Wavefunctions& wf = gw.wavefunctions();
@@ -282,21 +282,11 @@ std::vector<ZMatrix> sigma_ff_offdiag(GwCalculation& gw,
   const idx ng = gw.n_g();
   const idx nk = static_cast<idx>(scr.omegas.size());
   const idx ne = static_cast<idx>(e_grid.size());
-  const bool sliced = gprime_slice > 0 && gprime_slice < ng;
-  const idx ws = sliced ? gprime_slice : ng;
 
   std::vector<ZMatrix> sigma(static_cast<std::size_t>(ne));
   for (auto& s : sigma) s = ZMatrix(ns, ns);
 
-  ZMatrix mc(ns, ng), t(ns, ws), q(ns, ns);
-  // G'-slice gather buffers (only in sliced mode): contiguous copies of the
-  // B^k v column slice and the matching M_n columns, so the contraction
-  // still runs as two dense ZGEMMs.
-  ZMatrix bv_cols, mn_cols;
-  if (sliced) {
-    bv_cols = ZMatrix(ng, ws);
-    mn_cols = ZMatrix(ns, ws);
-  }
+  ZMatrix mc(ns, ng), t(ns, ng), q(ns, ns);
 
   obs::Span scope(gw.timers(),"ff_sigma_offdiag");
   for (idx n = 0; n < wf.n_bands(); ++n) {
@@ -308,37 +298,9 @@ std::vector<ZMatrix> sigma_ff_offdiag(GwCalculation& gw,
 
     for (idx k = 0; k < nk; ++k) {
       const ZMatrix& bvk = scr.bv.get(k);
-      if (!sliced) {
-        // Q^{nk} = conj(M_n) (B^k v) M_n^T  — two ZGEMMs, reused over E.
-        zgemm(Op::kNone, Op::kNone, cplx{1.0, 0.0}, mc, bvk, cplx{}, t, flops);
-        zgemm(Op::kNone, Op::kTrans, cplx{1.0, 0.0}, t, m_n, cplx{}, q, flops);
-      } else {
-        // Same contraction accumulated over G' column slices: bounds the
-        // N_Sigma x N_G' scratch at the cost of a different summation
-        // order (roundoff-level differences, never used on bitwise paths).
-        for (idx g0 = 0; g0 < ng; g0 += ws) {
-          const idx wb = std::min(ws, ng - g0);
-          if (bv_cols.cols() != wb) {
-            bv_cols.resize(ng, wb);
-            mn_cols.resize(ns, wb);
-            t.resize(ns, wb);
-          }
-          for (idx g = 0; g < ng; ++g) {
-            const cplx* src = bvk.row(g) + g0;
-            cplx* dst = bv_cols.row(g);
-            for (idx j = 0; j < wb; ++j) dst[j] = src[j];
-          }
-          for (idx i = 0; i < ns; ++i) {
-            const cplx* src = m_n.row(i) + g0;
-            cplx* dst = mn_cols.row(i);
-            for (idx j = 0; j < wb; ++j) dst[j] = src[j];
-          }
-          zgemm(Op::kNone, Op::kNone, cplx{1.0, 0.0}, mc, bv_cols, cplx{}, t,
-                flops);
-          zgemm(Op::kNone, Op::kTrans, cplx{1.0, 0.0}, t, mn_cols,
-                g0 == 0 ? cplx{} : cplx{1.0, 0.0}, q, flops);
-        }
-      }
+      // Q^{nk} = conj(M_n) (B^k v) M_n^T  — two ZGEMMs, reused over E.
+      zgemm(Op::kNone, Op::kNone, cplx{1.0, 0.0}, mc, bvk, cplx{}, t, flops);
+      zgemm(Op::kNone, Op::kTrans, cplx{1.0, 0.0}, t, m_n, cplx{}, q, flops);
 
       const double wk = scr.omegas[static_cast<std::size_t>(k)];
       for (idx ie = 0; ie < ne; ++ie) {

@@ -82,18 +82,11 @@ std::vector<FfResult> sigma_ff_diag(GwCalculation& gw, const FfScreening& scr,
 /// is built by two ZGEMMs and reused for every grid energy through the
 /// scalar pole factor. Returns Sigma^c matrices per grid energy (exchange
 /// excluded — it is energy independent; see sigma_ff_diag).
-/// `gprime_slice` > 0 bounds the N_Sigma x N_G' ZGEMM scratch by running
-/// the G' contraction in column slices of that width (mem::MemPlan solves
-/// for it under a budget). Slicing changes the floating-point summation
-/// order, so sliced results agree with unsliced to roundoff, NOT bitwise —
-/// the bitwise out-of-core guarantee covers the diag path and the
-/// screening, which never slice.
 std::vector<ZMatrix> sigma_ff_offdiag(GwCalculation& gw,
                                       const FfScreening& scr,
                                       const std::vector<idx>& bands,
                                       std::span<const double> e_grid,
                                       double eta = 0.02,
-                                      FlopCounter* flops = nullptr,
-                                      idx gprime_slice = 0);
+                                      FlopCounter* flops = nullptr);
 
 }  // namespace xgw

@@ -115,8 +115,8 @@ GwptResult GwptCalculation::run_perturbation(const Perturbation& p,
 
   // Eq. 5 contraction via the off-diag GPP kernel machinery.
   {
-    obs::Span scope(gw_.timers(),"gwpt_gpp_kernel");
     const GppOffdiagKernel kernel(gw_.gpp(), gw_.coulomb());
+    obs::Span scope(gw_.timers(), "gwpt_gpp_kernel");
     res.dsigma = kernel.compute_perturbed(m_all, dm_all, wf.energy,
                                           wf.n_valence, res.e_grid, flops);
   }

@@ -50,8 +50,6 @@ std::size_t chi_workspace_bytes(const PlannerInput& in, idx nv_block,
 std::string MemPlan::describe() const {
   std::string s = "nv_block=" + std::to_string(nv_block) +
                   " freq_batch=" + std::to_string(freq_batch);
-  if (gprime_slice > 0)
-    s += " gprime_slice=" + std::to_string(gprime_slice);
   char buf[64];
   std::snprintf(buf, sizeof(buf), " planned_peak_mb=%.1f",
                 to_mb(planned_peak_bytes));
@@ -148,23 +146,6 @@ MemPlan plan(const PlannerInput& in) {
               kElem,
           leftover);
     }
-  }
-
-  // Sigma FF off-diagonal G'-slice: bound the per-slice gather + scratch
-  // (bv_cols N_G x w, mn_cols and t N_Sigma x w — see sigma_ff_offdiag) to
-  // the leftover budget; 0 means the full width fits (unsliced).
-  if (in.n_sigma > 0) {
-    const std::size_t leftover =
-        in.budget_bytes > p.planned_peak_bytes
-            ? in.budget_bytes - p.planned_peak_bytes
-            : 0;
-    const std::size_t per_col =
-        (static_cast<std::size_t>(in.ng) +
-         2 * static_cast<std::size_t>(in.n_sigma)) *
-        kElem;
-    idx slice = static_cast<idx>(leftover / per_col);
-    slice = std::clamp<idx>(slice, 64, in.ng);
-    p.gprime_slice = slice >= in.ng ? 0 : slice;
   }
   return p;
 }

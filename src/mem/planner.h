@@ -5,7 +5,7 @@
 //
 // Given a byte budget (a `memory_budget_mb` driver key, or the HBM size of
 // a perf::machines platform) and the problem dimensions, the planner solves
-// for the three block sizes that bound the GW working set:
+// for the two block sizes that bound the CHI working set:
 //
 //  * nv_block     — NV-Block valence block of CHI_SUM. The pair workspace
 //                   is nv_block * N_c * ncols complex; larger blocks mean
@@ -17,8 +17,6 @@
 //                   maximizes the batch before growing nv_block (MTXEL
 //                   amortization dominates the intensity gain — the reason
 //                   19 extra frequencies are nearly free in Sec. 7.2).
-//  * gprime_slice — G' column-slice width of the Sigma FF off-diagonal
-//                   ZGEMM recast, bounding its N_Sigma x N_G' scratch.
 //
 // Every size the model charges mirrors one concrete allocation in
 // core/chi.cpp, core/epsilon.cpp and core/sigma_ff.cpp; test_mem holds the
@@ -43,7 +41,6 @@ struct PlannerInput {
   idx ng = 0;                    ///< plane waves of the chi/eps basis
   idx ncols = 0;                 ///< chi accumulation basis (N_G, or N_Eig)
   idx nfreq = 1;                 ///< frequency grid length
-  idx n_sigma = 0;               ///< external Sigma band-set size (0 = none)
   int threads = 1;               ///< OpenMP threads (per-thread workspaces)
   std::size_t fixed_bytes = 0;   ///< resident baseline (bands, mtxel cache)
   bool allow_spill = true;       ///< false: throw instead of planning spill
@@ -52,7 +49,6 @@ struct PlannerInput {
 struct MemPlan {
   idx nv_block = 1;
   idx freq_batch = 1;
-  idx gprime_slice = 0;      ///< 0 = unsliced (full N_G)
   bool fits_in_core = false;  ///< whole problem fits: no blocking needed
   bool needs_spill = false;  ///< ε^{-1}(ω) set must page through mem/spill
   std::size_t planned_peak_bytes = 0;  ///< model prediction incl. fixed_bytes

@@ -2,7 +2,7 @@
 
 // RAII trace spans with per-span FLOP/byte attribution.
 //
-// obs::Span supersedes TimerRegistry::Scope: it is move-safe, nests (each
+// obs::Span is the RAII timing region: it is move-safe, nests (each
 // thread keeps an innermost-span pointer), and carries counters so every
 // kernel invocation knows its own achieved GFLOP/s. The overload taking a
 // TimerRegistry is the compatibility shim: it ALWAYS accumulates elapsed
@@ -12,8 +12,7 @@
 //
 // Cost model:
 //  * recorder disabled, no registry: one relaxed atomic load + branch.
-//  * recorder disabled, with registry: identical to the old Scope (two
-//    steady_clock reads + map insert).
+//  * recorder disabled, with registry: two steady_clock reads + map insert.
 //  * recorder enabled: two clock reads + one uncontended mutex append,
 //    O(100 ns) — bench_kernels_micro measures both paths.
 //
@@ -43,7 +42,7 @@ class Span {
     if (trace_detail() >= detail) open();
   }
 
-  /// Compatibility shim for TimerRegistry::Scope call sites: always
+  /// Compatibility shim for TimerRegistry regions: always
   /// accumulates wall seconds into `reg` under `name` (even with tracing
   /// off), and also traces when enabled.
   Span(TimerRegistry& reg, const char* name, const char* cat = "kernel",

@@ -95,8 +95,6 @@ SimCluster::RunReport SimCluster::run(const std::function<void(idx rank)>& fn,
                                        "run", "sim", 0.0, t);
   }
   report.workers = static_cast<idx>(stats.workers);
-  report.measured_wall_s = stats.wall_s;
-  report.measured_busy_s = stats.busy_s;
   return report;
 }
 
@@ -390,8 +388,6 @@ SimCluster::RunReport SimCluster::run_items_ft(
   report.failed_ranks = dead;
   report.degraded = degraded;
   report.workers = static_cast<idx>(stats.workers);
-  report.measured_wall_s = stats.wall_s;
-  report.measured_busy_s = stats.busy_s;
   return report;
 }
 

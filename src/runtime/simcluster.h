@@ -12,10 +12,7 @@
 // of a sched::TaskGraph on a worker pool, so with W > 1 workers they run
 // ACTUALLY CONCURRENTLY — real comm/compute overlap, honest multicore
 // wall time — while the alpha-beta network model stays in place as the
-// "what-if at 9,408 nodes" projector. The measured_{wall,busy}_s fields
-// of the report feed the projector's calibration (perf/calib.h): measured
-// 1..N-worker efficiency replaces serial replay as its anchor. Results
-// are bitwise identical at any worker count because rank lambdas write
+// "what-if at 9,408 nodes" projector. Results are bitwise identical at any worker count because rank lambdas write
 // disjoint outputs and every cross-rank reduction here sums in fixed rank
 // order (the GEMM engine's determinism discipline, applied to the
 // runtime).
@@ -86,10 +83,7 @@ class SimCluster {
     double recovery_s = 0.0;        ///< modeled backoff + redistribution time
     bool degraded = false;          ///< finished on fewer ranks than launched
 
-    // Scheduler measurement (alpha-beta calibration inputs, perf/calib.h).
-    idx workers = 1;               ///< scheduler workers this run used
-    double measured_wall_s = 0.0;  ///< real wall time of the whole run
-    double measured_busy_s = 0.0;  ///< summed task execution time
+    idx workers = 1;  ///< scheduler workers this run used
 
     /// Distributed time-to-solution: slowest rank + communication +
     /// recovery overhead.

@@ -83,10 +83,9 @@ struct BatchCtx {
         return;
       }
     }
-    if (st.rs.pseudobands) {
-      PseudobandsOptions po;
-      po.n_xi = st.rs.pseudobands_nxi;
-      st.gw->set_wavefunctions(build_pseudobands(st.gw->wavefunctions(), po));
+    if (st.rs.input.pseudobands) {
+      st.gw->set_wavefunctions(build_pseudobands(
+          st.gw->wavefunctions(), st.rs.input.pseudobands_options));
     } else {
       st.gw->wavefunctions();
     }
@@ -123,12 +122,12 @@ struct BatchCtx {
     }
     if (!st.gw->has_chi0()) {
       if (auto chi = ws.get_matrix(st.chi_key)) {
-        st.gw->set_chi0(std::move(*chi));
+        st.gw->set_chi0(*chi);
       } else {
         ensure_chi(st);
         if (!st.gw->has_chi0())
           if (auto chi2 = ws.get_matrix(st.chi_key))
-            st.gw->set_chi0(std::move(*chi2));
+            st.gw->set_chi0(*chi2);
       }
     }
     const ZMatrix& eps = st.gw->epsinv0();
@@ -153,8 +152,7 @@ BatchReport run_batch(const std::vector<JobSpec>& jobs,
   CasStore cas(opt.store_dir,
                opt.store_budget_mb > 0.0 ? mem::mb(opt.store_budget_mb) : 0);
   cas.set_verify(opt.verify);
-  BatchWorkspace ws(opt.store_dir + "/ws",
-                    opt.resident_mb > 0.0 ? mem::mb(opt.resident_mb) : 0);
+  BatchWorkspace ws;
   BuildCounters builds;
   BatchCtx ctx{opt, cas, ws, builds};
 
@@ -196,19 +194,19 @@ BatchReport run_batch(const std::vector<JobSpec>& jobs,
     st.spec = jobs[j];
     st.out.name = st.spec.name;
     try {
-      const EpmModel model = build_material_from_input(st.spec.input);
-      const GwParameters params = build_params_from_input(st.spec.input);
-      st.gw = std::make_unique<GwCalculation>(model, params);
+      JobInput ji = read_job_input(st.spec.input);
+      const EpmModel model = build_material(ji);
+      st.gw = std::make_unique<GwCalculation>(model, ji.params);
       SpecDims dims;
       dims.nv = model.n_valence_bands();
       dims.ng = st.gw->n_g();
-      const idx total = params.n_bands > 0
-                            ? std::min(params.n_bands, st.gw->n_g_psi())
+      const idx total = ji.params.n_bands > 0
+                            ? std::min(ji.params.n_bands, st.gw->n_g_psi())
                             : st.gw->n_g_psi();
       dims.nc = total - dims.nv;
-      st.rs = resolve_spec(st.spec.input, dims, opt.memory_budget_mb);
+      st.rs = resolve_spec(st.spec.input, std::move(ji), dims);
       st.gw->set_nv_block(st.rs.nv_block);
-      st.out.job = st.rs.job;
+      st.out.job = st.rs.input.job;
     } catch (const Error& e) {
       st.out.rc = 1;
       st.out.error = e.what();
@@ -224,7 +222,7 @@ BatchReport run_batch(const std::vector<JobSpec>& jobs,
     ++key_refs[st.eps_key];
 
     bool sig_compute = false, epsf_compute = false;
-    if (st.rs.job == "sigma") {
+    if (st.rs.input.job == "sigma") {
       st.out.qp.resize(st.rs.bands.size());
       for (std::size_t i = 0; i < st.rs.bands.size(); ++i) {
         const idx b = st.rs.bands[i];
@@ -334,7 +332,7 @@ BatchReport run_batch(const std::vector<JobSpec>& jobs,
         "job:" + st.out.name, guard(p, [&ctx, p] {
           JobState& s = *p;
           const ServeOptions& o = ctx.opt;
-          if (s.rs.job == "sigma") {
+          if (s.rs.input.job == "sigma") {
             std::vector<std::size_t> leftover = s.owned_slots;
             for (std::size_t i : s.foreign_slots) {
               if (auto r = ctx.ws.get_qp(s.sig_keys[i]))
@@ -355,12 +353,12 @@ BatchReport run_batch(const std::vector<JobSpec>& jobs,
               ctx.ensure_wavefunctions(s);
               if (!s.gw->has_epsinv0()) {
                 if (auto e = ctx.ws.get_matrix(s.eps_key)) {
-                  s.gw->set_epsinv0(std::move(*e));
+                  s.gw->set_epsinv0(*e);
                 } else {
                   ctx.ensure_eps(s);
                   if (!s.gw->has_epsinv0())
                     if (auto e2 = ctx.ws.get_matrix(s.eps_key))
-                      s.gw->set_epsinv0(std::move(*e2));
+                      s.gw->set_epsinv0(*e2);
                 }
               }
               std::map<idx, std::string> mtx_by_band;
@@ -382,8 +380,8 @@ BatchReport run_batch(const std::vector<JobSpec>& jobs,
                   });
               std::vector<idx> bands;
               for (std::size_t i : leftover) bands.push_back(s.rs.bands[i]);
-              const std::vector<QpResult> qp =
-                  s.gw->sigma_diag(bands, s.rs.n_e_points, s.rs.e_step);
+              const std::vector<QpResult> qp = s.gw->sigma_diag(
+                  bands, s.rs.input.n_e_points, s.rs.input.e_step);
               s.gw->set_mtxel_cache({}, {});
               for (std::size_t i = 0; i < leftover.size(); ++i) {
                 const std::size_t slot = leftover[i];
@@ -399,10 +397,10 @@ BatchReport run_batch(const std::vector<JobSpec>& jobs,
             ctx.ensure_eps(s);
             {
               auto e = ctx.ws.get_matrix(s.eps_key);
-              XGW_REQUIRE(e.has_value(), "serve: eps^{-1}(0) unavailable");
+              XGW_REQUIRE(e != nullptr, "serve: eps^{-1}(0) unavailable");
               s.out.eps_heads.push_back((*e)(0, 0).real());
             }
-            if (s.rs.n_freq > 0) {
+            if (!s.rs.freqs.empty()) {
               std::vector<double> heads(s.rs.freqs.size(), 0.0);
               std::vector<std::size_t> leftover = s.owned_freqs;
               auto head_from_ws = [&](std::size_t k) {
@@ -425,7 +423,7 @@ BatchReport run_batch(const std::vector<JobSpec>& jobs,
                 std::sort(leftover.begin(), leftover.end());
                 ctx.ensure_wavefunctions(s);
                 ChiOptions copt;
-                copt.eta = s.rs.eta;
+                copt.eta = s.rs.input.params.eta;
                 copt.nv_block = s.rs.nv_block;
                 copt.imaginary_axis = true;
                 std::vector<double> omegas;
@@ -475,7 +473,6 @@ BatchReport run_batch(const std::vector<JobSpec>& jobs,
   rep.eps_builds = builds.eps;
   rep.epsfreq_builds = builds.epsf;
   rep.sigma_band_builds = builds.sig;
-  rep.ws_evictions = ws.evictions();
   rep.cas = cas.stats();
 
   os << "serve batch: " << jobs.size() << " jobs store " << opt.store_dir

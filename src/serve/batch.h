@@ -37,8 +37,6 @@ namespace xgw::serve {
 struct ServeOptions {
   std::string store_dir = "xgw_cas";  ///< CAS directory (shared across runs)
   double store_budget_mb = 0.0;       ///< CAS disk LRU budget; 0 = unlimited
-  double resident_mb = 0.0;  ///< batch workspace resident cap; 0 = unlimited
-  double memory_budget_mb = 0.0;  ///< default per-job compute budget
   int workers = 0;                ///< executor workers; 0 = default_workers()
   bool use_cache = true;          ///< false: compute-only (bench cold leg)
   mem::SpillVerify verify = mem::SpillVerify::kSize;  ///< CAS commit checks
@@ -76,7 +74,6 @@ struct BatchReport {
   std::uint64_t eps_builds = 0;
   std::uint64_t epsfreq_builds = 0;
   std::uint64_t sigma_band_builds = 0;
-  std::uint64_t ws_evictions = 0;
   CasStats cas;  ///< this store instance's counters after the batch
 
   bool all_ok() const {

@@ -54,33 +54,33 @@ bool is_servable_key(const std::string& k) {
 using Fields = std::vector<std::pair<std::string, std::string>>;
 
 void add_mf_fields(const ResolvedSpec& s, Fields& f) {
-  f.emplace_back("material", s.material);
-  f.emplace_back("n_bands", std::to_string(s.n_bands));
-  f.emplace_back("pseudobands", s.pseudobands ? "1" : "0");
-  f.emplace_back("pseudobands_nxi", std::to_string(s.pseudobands_nxi));
-  f.emplace_back("psi_cutoff", canon_double(s.psi_cutoff));
-  f.emplace_back("supercell", std::to_string(s.supercell));
+  const JobInput& in = s.input;
+  f.emplace_back("material", in.material);
+  f.emplace_back("n_bands", std::to_string(in.params.n_bands));
+  f.emplace_back("pseudobands", in.pseudobands ? "1" : "0");
+  f.emplace_back("pseudobands_nxi",
+                 std::to_string(in.pseudobands_options.n_xi));
+  f.emplace_back("psi_cutoff", canon_double(in.params.psi_cutoff));
+  f.emplace_back("supercell", std::to_string(in.supercell));
   f.emplace_back("vacancy",
-                 s.has_vacancy ? std::to_string(s.vacancy) : "none");
-  f.emplace_back("vacuum", canon_double(s.vacuum));
+                 in.vacancy ? std::to_string(*in.vacancy) : "none");
+  f.emplace_back("vacuum", canon_double(in.vacuum));
 }
 
 void add_chi_fields(const ResolvedSpec& s, Fields& f) {
   add_mf_fields(s, f);
-  f.emplace_back("eps_cutoff", canon_double(s.eps_cutoff));
-  f.emplace_back("eta", canon_double(s.eta));
+  f.emplace_back("eps_cutoff", canon_double(s.input.params.eps_cutoff));
+  f.emplace_back("eta", canon_double(s.input.params.eta));
   f.emplace_back("nv_block", std::to_string(s.nv_block));
   f.emplace_back("q", "0");
 }
 
 }  // namespace
 
-ResolvedSpec resolve_spec(const InputFile& in, const SpecDims& dims,
-                          double default_budget_mb) {
-  ResolvedSpec s;
-  s.job = in.require_string("job");
-  XGW_REQUIRE_KIND(s.job == "sigma" || s.job == "epsilon",
-                   "serve: job '" + s.job +
+ResolvedSpec resolve_spec(const InputFile& in, JobInput job,
+                          const SpecDims& dims) {
+  XGW_REQUIRE_KIND(job.job == "sigma" || job.job == "epsilon",
+                   "serve: job '" + job.job +
                        "' is not servable (sigma and epsilon specs only; "
                        "run others through xgw_run batch mode)",
                    ErrorKind::kValidation);
@@ -93,28 +93,19 @@ ResolvedSpec resolve_spec(const InputFile& in, const SpecDims& dims,
             "and side outputs defeat content addressing)",
         ErrorKind::kValidation);
   }
+  // The batch executor runs the GPP route only. Accepting a space_time
+  // spec here would compute GPP numbers and file them under this job's
+  // keys — a poisoned cache every later run would trust. Reject instead.
+  XGW_REQUIRE_KIND(job.job != "sigma" || job.sigma_method == "gpp",
+                   "serve: sigma_method 'space_time' is not servable yet "
+                   "(batch executor runs the GPP route; run space-time "
+                   "jobs through xgw_run)",
+                   ErrorKind::kValidation);
 
-  s.material = in.require_string("material");
-  s.supercell = in.get_int("supercell", 1);
-  s.has_vacancy = in.has("vacancy");
-  if (s.has_vacancy) s.vacancy = in.get_int("vacancy", 0);
-  s.vacuum = in.get_double("vacuum", 16.0);
-  s.psi_cutoff = in.get_double("psi_cutoff", -1.0);
-  s.n_bands = in.get_int("n_bands", -1);
-  s.pseudobands = in.get_bool("pseudobands", false);
-  s.pseudobands_nxi = in.get_int("pseudobands_nxi", 3);
-
-  s.eps_cutoff = in.get_double("eps_cutoff", -1.0);
-  s.eta = in.get_double("eta", 1e-3);
-  s.coulomb = in.get_string("coulomb", "spherical_average");
-
-  s.nv_block = in.get_int("nv_block", 8);
-  double budget_mb = default_budget_mb;
-  if (in.has("memory_budget_mb") || in.has("memory_budget_machine"))
-    budget_mb = resolve_memory_budget_mb(in);
-  if (budget_mb > 0.0) {
+  idx nv_block = job.params.nv_block;
+  if (job.memory_budget_mb > 0.0) {
     mem::PlannerInput pin;
-    pin.budget_bytes = mem::mb(budget_mb);
+    pin.budget_bytes = mem::mb(job.memory_budget_mb);
     pin.nv = dims.nv;
     pin.nc = dims.nc;
     pin.ng = dims.ng;
@@ -122,34 +113,20 @@ ResolvedSpec resolve_spec(const InputFile& in, const SpecDims& dims,
     pin.nfreq = 1;
     pin.threads = 1;
     pin.fixed_bytes = 0;
-    s.nv_block = mem::plan(pin).nv_block;
+    nv_block = mem::plan(pin).nv_block;
   }
-
-  if (s.job == "sigma") {
-    s.sigma_method = in.get_string("sigma_method", "gpp");
-    XGW_REQUIRE_KIND(
-        s.sigma_method == "gpp" || s.sigma_method == "space_time",
-        "serve: unknown sigma_method '" + s.sigma_method + "'",
-        ErrorKind::kValidation);
-    // The batch executor runs the GPP route only. Accepting a space_time
-    // spec here would compute GPP numbers and file them under this job's
-    // keys — a poisoned cache every later run would trust. Reject instead.
-    XGW_REQUIRE_KIND(s.sigma_method == "gpp",
-                     "serve: sigma_method 'space_time' is not servable yet "
-                     "(batch executor runs the GPP route; run space-time "
-                     "jobs through xgw_run)",
-                     ErrorKind::kValidation);
-    s.n_tau = in.get_int("n_tau", 14);
-    s.n_e_points = in.get_int("n_e_points", 3);
-    s.e_step = in.get_double("e_step", 0.02);
-    s.bands = in.get_int_list("sigma_bands");
+  ResolvedSpec s{std::move(job), nv_block, {}, {}};
+  if (s.input.job == "sigma") {
+    s.bands = s.input.sigma_bands;
     if (s.bands.empty()) s.bands = {dims.nv - 1, dims.nv};
-  } else {
-    s.n_freq = in.has("n_freq") ? in.get_int("n_freq", 8) : 0;
-    if (s.n_freq > 0)
-      s.freqs = gauss_legendre_semi_infinite(s.n_freq, 1.0).nodes;
+  } else if (s.input.n_freq > 0) {
+    s.freqs = gauss_legendre_semi_infinite(s.input.n_freq, 1.0).nodes;
   }
   return s;
+}
+
+ResolvedSpec resolve_spec(const InputFile& in, const SpecDims& dims) {
+  return resolve_spec(in, read_job_input(in), dims);
 }
 
 std::string canonical_stage_spec(const ResolvedSpec& s, Stage stage,
@@ -163,7 +140,7 @@ std::string canonical_stage_spec(const ResolvedSpec& s, Stage stage,
       XGW_REQUIRE(band >= 0, "mtx key needs a band");
       add_mf_fields(s, f);
       f.emplace_back("band", std::to_string(band));
-      f.emplace_back("eps_cutoff", canon_double(s.eps_cutoff));
+      f.emplace_back("eps_cutoff", canon_double(s.input.params.eps_cutoff));
       break;
     case Stage::kChi:
       add_chi_fields(s, f);
@@ -171,7 +148,7 @@ std::string canonical_stage_spec(const ResolvedSpec& s, Stage stage,
       break;
     case Stage::kEps:
       add_chi_fields(s, f);
-      f.emplace_back("coulomb", s.coulomb);
+      f.emplace_back("coulomb", coulomb_name(s.input.params.coulomb));
       f.emplace_back("freq", "static");
       break;
     case Stage::kEpsFreq: {
@@ -179,23 +156,23 @@ std::string canonical_stage_spec(const ResolvedSpec& s, Stage stage,
                       freq_index < static_cast<idx>(s.freqs.size()),
                   "epsf key needs a frequency index");
       add_chi_fields(s, f);
-      f.emplace_back("coulomb", s.coulomb);
+      f.emplace_back("coulomb", coulomb_name(s.input.params.coulomb));
       f.emplace_back("axis", "imaginary");
       f.emplace_back(
           "freq",
           canon_double(s.freqs[static_cast<std::size_t>(freq_index)]));
       f.emplace_back("freq_index", std::to_string(freq_index));
-      f.emplace_back("n_freq", std::to_string(s.n_freq));
+      f.emplace_back("n_freq", std::to_string(s.input.n_freq));
       break;
     }
     case Stage::kSigmaBand:
       XGW_REQUIRE(band >= 0, "sig key needs a band");
       add_chi_fields(s, f);
-      f.emplace_back("coulomb", s.coulomb);
+      f.emplace_back("coulomb", coulomb_name(s.input.params.coulomb));
       f.emplace_back("freq", "static");
       f.emplace_back("band", std::to_string(band));
-      f.emplace_back("e_step", canon_double(s.e_step));
-      f.emplace_back("n_e_points", std::to_string(s.n_e_points));
+      f.emplace_back("e_step", canon_double(s.input.e_step));
+      f.emplace_back("n_e_points", std::to_string(s.input.n_e_points));
       break;
     // Space-time stages (NEW cases only — every pre-existing canonical
     // text above stays byte-identical). They carry the method tag and the
@@ -205,23 +182,23 @@ std::string canonical_stage_spec(const ResolvedSpec& s, Stage stage,
       XGW_REQUIRE(freq_index >= 0, "chit key needs a tau index");
       add_chi_fields(s, f);
       f.emplace_back("axis", "imaginary_time");
-      f.emplace_back("n_tau", std::to_string(s.n_tau));
+      f.emplace_back("n_tau", std::to_string(s.input.n_tau));
       f.emplace_back("sigma_method", "space_time");
       f.emplace_back("tau_index", std::to_string(freq_index));
       break;
     case Stage::kWTau:
       add_chi_fields(s, f);
       f.emplace_back("axis", "imaginary_time");
-      f.emplace_back("coulomb", s.coulomb);
-      f.emplace_back("n_tau", std::to_string(s.n_tau));
+      f.emplace_back("coulomb", coulomb_name(s.input.params.coulomb));
+      f.emplace_back("n_tau", std::to_string(s.input.n_tau));
       f.emplace_back("sigma_method", "space_time");
       break;
     case Stage::kSigmaStBand:
       XGW_REQUIRE(band >= 0, "sigst key needs a band");
       add_chi_fields(s, f);
       f.emplace_back("band", std::to_string(band));
-      f.emplace_back("coulomb", s.coulomb);
-      f.emplace_back("n_tau", std::to_string(s.n_tau));
+      f.emplace_back("coulomb", coulomb_name(s.input.params.coulomb));
+      f.emplace_back("n_tau", std::to_string(s.input.n_tau));
       f.emplace_back("sigma_method", "space_time");
       break;
   }

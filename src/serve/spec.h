@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "cli/driver.h"
 #include "cli/input.h"
 #include "common/types.h"
 
@@ -64,39 +65,19 @@ struct SpecDims {
   idx ng = 0;  ///< chi/eps sphere size
 };
 
-/// The serve-normalized view of one job spec: every field a sub-result can
-/// depend on, resolved to its final value (defaults applied, bands
-/// defaulted, nv_block solved under the job's byte budget).
+/// The serve-normalized view of one job spec: the driver's reading of the
+/// job file (every keyed value, defaults applied) plus the three values
+/// serve resolves itself.
 struct ResolvedSpec {
-  std::string job;  ///< "sigma" | "epsilon"
-  // mean-field identity
-  std::string material;
-  idx supercell = 1;
-  bool has_vacancy = false;
-  idx vacancy = 0;
-  double vacuum = 16.0;
-  double psi_cutoff = -1.0;
-  idx n_bands = -1;
-  bool pseudobands = false;
-  idx pseudobands_nxi = 3;
-  // screening identity
-  double eps_cutoff = -1.0;
-  double eta = 1e-3;
-  idx nv_block = 8;  ///< RESOLVED block size (see resolve_spec)
-  std::string coulomb = "spherical_average";
-  // sigma identity
-  std::string sigma_method = "gpp";  ///< "gpp" | "space_time"
-  idx n_tau = 14;  ///< minimax grid order (space-time stages only)
-  idx n_e_points = 3;
-  double e_step = 0.02;
-  std::vector<idx> bands;  ///< resolved sigma bands (default {nv-1, nv})
-  // epsilon identity
-  idx n_freq = 0;             ///< 0 = static only
-  std::vector<double> freqs;  ///< imaginary-axis nodes (when n_freq > 0)
+  JobInput input;
+  idx nv_block;               ///< RESOLVED block size (see resolve_spec)
+  std::vector<idx> bands;     ///< sigma bands (default {nv-1, nv})
+  std::vector<double> freqs;  ///< epsilon: imaginary-axis nodes (n_freq > 0)
 };
 
-/// Normalizes an input file into a ResolvedSpec. Throws kValidation for
-/// jobs the serving layer cannot key (anything but sigma/epsilon, or specs
+/// Validates a job file for serving and resolves it. `job` is the
+/// driver's reading of `in` (read_job_input). Throws kValidation for jobs
+/// the serving layer cannot key (anything but sigma/epsilon, or specs
 /// whose identity lives outside the text: input_wfn) and for side-output
 /// keys (output_wfn/output_epsmat) that a cache hit could not produce.
 /// `sigma_method space_time` is also rejected: the batch executor runs the
@@ -107,10 +88,12 @@ struct ResolvedSpec {
 /// carries a byte budget, the planner is solved with fixed_bytes = 0 and
 /// threads = 1 over `dims`, so identical manifests re-hash identically on
 /// any host. (This is serve's own planning point — the single-job driver
-/// plans against live tracker state instead.) `default_budget_mb` applies
-/// when the spec names no budget of its own.
-ResolvedSpec resolve_spec(const InputFile& in, const SpecDims& dims,
-                          double default_budget_mb = 0.0);
+/// plans against live tracker state instead.)
+ResolvedSpec resolve_spec(const InputFile& in, JobInput job,
+                          const SpecDims& dims);
+
+/// resolve_spec(in, read_job_input(in), dims).
+ResolvedSpec resolve_spec(const InputFile& in, const SpecDims& dims);
 
 /// Canonical text block a stage key hashes. `band` indexes per-band stages
 /// (kMtxel, kSigmaBand); `freq_index` indexes kEpsFreq.

@@ -1,32 +1,22 @@
 #include "serve/workspace.h"
 
-#include <limits>
-
 namespace xgw::serve {
-
-BatchWorkspace::BatchWorkspace(const std::string& dir,
-                               std::size_t resident_budget_bytes)
-    : pool_(dir,
-            resident_budget_bytes == 0
-                ? std::numeric_limits<std::size_t>::max()
-                : resident_budget_bytes,
-            "ws_") {}
 
 void BatchWorkspace::put_matrix(const std::string& key, ZMatrix m) {
   std::lock_guard<std::mutex> lk(mu_);
-  pool_.put(key, std::move(m));
-  matrix_keys_.insert(key);
+  matrices_[key] = std::make_shared<const ZMatrix>(std::move(m));
 }
 
 bool BatchWorkspace::has_matrix(const std::string& key) const {
   std::lock_guard<std::mutex> lk(mu_);
-  return matrix_keys_.count(key) != 0;
+  return matrices_.count(key) != 0;
 }
 
-std::optional<ZMatrix> BatchWorkspace::get_matrix(const std::string& key) {
+std::shared_ptr<const ZMatrix> BatchWorkspace::get_matrix(
+    const std::string& key) const {
   std::lock_guard<std::mutex> lk(mu_);
-  if (matrix_keys_.count(key) == 0) return std::nullopt;
-  return pool_.get(key);  // copies out: pool references are not stable
+  auto it = matrices_.find(key);
+  return it == matrices_.end() ? nullptr : it->second;
 }
 
 void BatchWorkspace::put_wavefunctions(const std::string& key,
@@ -52,11 +42,6 @@ std::optional<QpResult> BatchWorkspace::get_qp(const std::string& key) const {
   auto it = qp_.find(key);
   if (it == qp_.end()) return std::nullopt;
   return it->second;
-}
-
-std::uint64_t BatchWorkspace::evictions() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return pool_.evictions();
 }
 
 }  // namespace xgw::serve

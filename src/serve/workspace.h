@@ -2,39 +2,26 @@
 
 // In-batch working set of the serving layer: the decoded sub-results that
 // producer tasks hand to consumer tasks within ONE batch submit (the CAS
-// holds the durable copies; the workspace holds the live ones).
-//
-// Matrices ride a mem::SpillPool, so a batch whose shared chi/eps matrices
-// exceed the resident budget pages them to disk LRU-style instead of
-// growing without bound — the "eviction via the SpillPool machinery" half
-// of the serving layer's memory story (the CAS disk budget is the other).
-// SpillPool itself is not thread-safe, so every operation here is
-// serialized on one mutex and get_matrix returns a COPY (pool references
-// die at the next pool operation).
+// holds the durable copies; the workspace holds the live ones). Every
+// operation is serialized on one mutex; entries are immutable once put.
 
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 
 #include "core/sigma.h"
 #include "la/matrix.h"
-#include "mem/spill.h"
 #include "mf/wavefunctions.h"
 
 namespace xgw::serve {
 
 class BatchWorkspace {
  public:
-  /// `resident_budget_bytes` bounds the matrices kept in memory (0 =
-  /// unlimited); spill pages live under `dir`.
-  BatchWorkspace(const std::string& dir, std::size_t resident_budget_bytes);
-
   void put_matrix(const std::string& key, ZMatrix m);
   bool has_matrix(const std::string& key) const;
-  std::optional<ZMatrix> get_matrix(const std::string& key);
+  std::shared_ptr<const ZMatrix> get_matrix(const std::string& key) const;
 
   void put_wavefunctions(const std::string& key, Wavefunctions wf);
   std::shared_ptr<const Wavefunctions> get_wavefunctions(
@@ -43,12 +30,9 @@ class BatchWorkspace {
   void put_qp(const std::string& key, const QpResult& r);
   std::optional<QpResult> get_qp(const std::string& key) const;
 
-  std::uint64_t evictions() const;
-
  private:
   mutable std::mutex mu_;
-  mem::SpillPool pool_;
-  std::set<std::string> matrix_keys_;
+  std::map<std::string, std::shared_ptr<const ZMatrix>> matrices_;
   std::map<std::string, std::shared_ptr<const Wavefunctions>> wfn_;
   std::map<std::string, QpResult> qp_;
 };

@@ -22,8 +22,6 @@ int usage(const char* argv0) {
       << "options:\n"
       << "  --store DIR           CAS directory (default xgw_cas)\n"
       << "  --store-budget-mb N   CAS disk LRU budget (default unlimited)\n"
-      << "  --resident-mb N       in-batch workspace cap (default unlimited)\n"
-      << "  --memory-budget-mb N  default per-job compute budget\n"
       << "  --workers N           executor workers (default auto)\n"
       << "  --verify MODE         CAS commit check: off|size|checksum\n"
       << "  --no-cache            compute everything, touch no store\n"
@@ -52,10 +50,6 @@ int main(int argc, char** argv) {
       opt.store_dir = need_value("--store");
     } else if (a == "--store-budget-mb") {
       opt.store_budget_mb = std::atof(need_value("--store-budget-mb"));
-    } else if (a == "--resident-mb") {
-      opt.resident_mb = std::atof(need_value("--resident-mb"));
-    } else if (a == "--memory-budget-mb") {
-      opt.memory_budget_mb = std::atof(need_value("--memory-budget-mb"));
     } else if (a == "--workers") {
       opt.workers = std::atoi(need_value("--workers"));
     } else if (a == "--verify") {

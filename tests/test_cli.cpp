@@ -11,6 +11,7 @@
 #include "cli/driver.h"
 #include "common/error.h"
 #include "common/validate.h"
+#include "core/sigma_st.h"
 
 namespace xgw {
 namespace {
@@ -54,6 +55,82 @@ TEST(InputParser, RejectsMalformed) {
   EXPECT_THROW(in.get_int("eps_cutoff", 0), Error);
   EXPECT_THROW(in.get_bool("eps_cutoff", false), Error);
   EXPECT_THROW(in.require_string("absent"), Error);
+}
+
+JobInput read(const std::string& text) {
+  return read_job_input(InputFile::parse(text, known_input_keys()));
+}
+
+TEST(JobReader, JobDependentDefaults) {
+  EXPECT_EQ(read("job sigma\nmaterial si\n").n_e_points, 3);
+  EXPECT_EQ(read("job sigma_offdiag\nmaterial si\n").n_e_points, 12);
+  EXPECT_EQ(read("job gwpt\nmaterial si\n").n_e_points, 2);
+  EXPECT_EQ(read("job gwpt\nmaterial si\nn_e_points 5\n").n_e_points, 5);
+
+  EXPECT_EQ(read("job epsilon\nmaterial si\n").n_freq, 0);  // no sweep
+  EXPECT_EQ(read("job epsilon\nmaterial si\nn_freq 4\n").n_freq, 4);
+  EXPECT_EQ(read("job ff\nmaterial si\n").n_freq, 24);
+  EXPECT_THROW(read("job epsilon\nmaterial si\nn_freq -1\n"), Error);
+
+  // FF screens with its own broadening unless the input names one.
+  const JobInput ff = read("job ff\nmaterial si\n");
+  EXPECT_EQ(ff.ff_eta, 0.02);
+  EXPECT_EQ(ff.params.eta, GwParameters{}.eta);
+  const JobInput ff_eta = read("job ff\nmaterial si\neta 0.005\n");
+  EXPECT_EQ(ff_eta.ff_eta, 0.005);
+  EXPECT_EQ(ff_eta.params.eta, 0.005);
+}
+
+TEST(JobReader, DefaultsComeFromTheLibraryStructs) {
+  const JobInput j = read("job sigma\nmaterial silicon\n");
+  const GwParameters p;
+  EXPECT_EQ(j.params.psi_cutoff, p.psi_cutoff);
+  EXPECT_EQ(j.params.eps_cutoff, p.eps_cutoff);
+  EXPECT_EQ(j.params.n_bands, p.n_bands);
+  EXPECT_EQ(j.params.eta, p.eta);
+  EXPECT_EQ(j.params.nv_block, p.nv_block);
+  EXPECT_EQ(j.params.coulomb, p.coulomb);
+  EXPECT_EQ(j.n_tau, StOptions{}.n_tau);
+  EXPECT_EQ(j.pseudobands_options.n_xi, PseudobandsOptions{}.n_xi);
+  EXPECT_FALSE(j.pseudobands);
+  EXPECT_FALSE(j.vacancy.has_value());
+  EXPECT_EQ(j.sigma_method, "gpp");
+  EXPECT_TRUE(j.sigma_bands.empty());
+  EXPECT_EQ(j.memory_budget_mb, 0.0);
+
+  const JobInput k = read(
+      "job sigma\nmaterial silicon\nvacancy 0\ncoulomb slab\n"
+      "memory_budget_mb 64\npseudobands_nxi 2\nsigma_bands 5 6\n");
+  EXPECT_EQ(k.vacancy, idx{0});
+  EXPECT_EQ(k.params.coulomb, CoulombScheme::kSlabTruncate);
+  EXPECT_STREQ(coulomb_name(k.params.coulomb), "slab");
+  EXPECT_EQ(k.memory_budget_mb, 64.0);
+  EXPECT_EQ(k.pseudobands_options.n_xi, 2);
+  EXPECT_EQ(k.sigma_bands, (std::vector<idx>{5, 6}));
+  EXPECT_THROW(read("job sigma\nmaterial silicon\ncoulomb yukawa\n"), Error);
+}
+
+/// The QP rows (lines starting with a band index) of a driver run.
+std::string qp_rows(const std::string& text) {
+  std::ostringstream os;
+  EXPECT_EQ(run_job(InputFile::parse(text, known_input_keys()), os), 0);
+  std::istringstream is(os.str());
+  std::string rows, line;
+  while (std::getline(is, line))
+    if (!line.empty() && std::isdigit(static_cast<unsigned char>(line[0])))
+      rows += line + "\n";
+  return rows;
+}
+
+TEST(Driver, FfJobHonoursEta) {
+  const std::string base = "job ff\nmaterial silicon\nn_freq 8\n";
+  // Without the key FF keeps its 0.02 broadening, so these rows must not
+  // move; an explicit eta reaches both the screening and Sigma.
+  EXPECT_EQ(qp_rows(base),
+            "3  10.4875  -13.5219  3.9987  5.9501\n"
+            "4  13.9731  -1.4140  -3.4120  9.8015\n");
+  EXPECT_EQ(qp_rows(base + "eta 0.02\n"), qp_rows(base));
+  EXPECT_NE(qp_rows(base + "eta 0.2\n"), qp_rows(base));
 }
 
 TEST(Driver, SigmaJobProducesQpTable) {

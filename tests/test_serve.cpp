@@ -125,8 +125,8 @@ TEST(ServeSpec, SpaceTimeStageKeysGolden) {
   // under them. Built by hand: resolve_spec refuses space_time specs
   // until the batch executor runs that route.
   ResolvedSpec s = resolve_spec(si_sigma_input(), si_dims());
-  s.sigma_method = "space_time";
-  s.n_tau = 14;
+  s.input.sigma_method = "space_time";
+  s.input.n_tau = 14;
 
   EXPECT_EQ(canonical_stage_spec(s, Stage::kChiTau, -1, 2),
             "schema xgw-cas-key-v1\n"
@@ -154,7 +154,7 @@ TEST(ServeSpec, SpaceTimeStageKeysGolden) {
   // Method tag + grid order are key material: a space-time entry can
   // never collide with a GPP one, and n_tau changes invalidate.
   ResolvedSpec finer = s;
-  finer.n_tau = 16;
+  finer.input.n_tau = 16;
   EXPECT_NE(cache_key(s, Stage::kWTau), cache_key(finer, Stage::kWTau));
   EXPECT_NE(cache_key(s, Stage::kSigmaStBand, 3),
             cache_key(s, Stage::kSigmaBand, 3));
@@ -225,7 +225,7 @@ TEST(ServeSpec, KeyIgnoresRuntimeKnobs) {
 TEST(ServeSpec, KeySensitivity) {
   const ResolvedSpec base = resolve_spec(si_sigma_input(), si_dims());
   ResolvedSpec mod = base;
-  mod.eta = 2e-3;
+  mod.input.params.eta = 2e-3;
   EXPECT_EQ(cache_key(base, Stage::kMf), cache_key(mod, Stage::kMf));
   EXPECT_NE(cache_key(base, Stage::kChi), cache_key(mod, Stage::kChi));
   mod = base;

@@ -155,6 +155,25 @@ TEST(Sigma, TimersRecordKernels) {
   EXPECT_GT(gw.timers().calls("sigma_mtxel"), 0);
 }
 
+TEST(Sigma, StageTimerRowsAreExclusive) {
+  // Each lazy stage resolves its inputs before opening its own region, so
+  // the four setup rows add up to at most the wall time of the call that
+  // triggered them (nested regions would count chi three times).
+  GwParameters p;
+  p.eps_cutoff = 0.9;
+  GwCalculation gw(EpmModel::silicon(1), p);
+  const Stopwatch sw;
+  gw.gpp();
+  const double wall = sw.elapsed();
+  double rows = 0.0;
+  for (const char* name : {"parabands(dense)", "chi_sum(static)",
+                           "epsilon_inverse(0)", "gpp_model"}) {
+    EXPECT_EQ(gw.timers().calls(name), 1) << name;
+    rows += gw.timers().seconds(name);
+  }
+  EXPECT_LE(rows, wall);
+}
+
 TEST(Sigma, PseudobandSwapInvalidatesCache) {
   GwParameters p;
   p.eps_cutoff = 0.9;
