@@ -573,7 +573,7 @@ void emit_kernel_json() {
 
   // Roofline vs MEASURED FMA peak: the autotune probe's register-FMA rate
   // is the ceiling the micro-kernels are judged against (not a datasheet
-  // number), with the arithmetic intensity of the ACTIVE autotuned tiling.
+  // number), with the arithmetic intensity of the engine's tiling.
   {
     const double peak_gflops = tuned.fma_peak_gflops;
     double best512 = 0.0;
@@ -588,7 +588,6 @@ void emit_kernel_json() {
         .info("from_cache", tuned.from_cache ? "yes" : "no")
         .value("fma_peak_gflops", peak_gflops)
         .value("arithmetic_intensity", kr.arithmetic_intensity)
-        .value("autotune_best_gflops", tuned.best_gflops)
         .value("measured_best_gflops_n512", best512)
         .value("peak_fraction_n512",
                peak_gflops > 0.0 ? best512 / peak_gflops : 0.0);

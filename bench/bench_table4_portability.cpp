@@ -16,7 +16,7 @@
 #include "common/rng.h"
 #include "common/timer.h"
 #include "core/sigma.h"
-#include "la/microkernel.h"
+#include "la/autotune.h"
 #include "la/simd.h"
 #include "mf/epm.h"
 #include "perf/scaling.h"
@@ -51,8 +51,8 @@ void measured_part(Suite& suite) {
   const double t_opt = sw.elapsed();
 
   // ZGEMM on the off-diag kernel shapes: the reference loop, then the
-  // engine's default micro-kernel for each ISA the host executes (serial,
-  // same cache tiling), widest first.
+  // engine's micro-kernel for each ISA the host executes (serial, the one
+  // cache tiling), widest first.
   const idx ng = gw.n_g();
   ZMatrix a(64, ng), b(ng, ng), c(64, ng);
   Rng rng(1);
@@ -73,10 +73,8 @@ void measured_part(Suite& suite) {
         std::pair{la::SimdIsa::kAvx2, "(narrower-vector port analogue)"},
         std::pair{la::SimdIsa::kScalar, "(portable scalar analogue)"}}) {
     if (isa > la::detected_simd_isa()) continue;
-    const la::TileShape tile = la::default_tile(isa);
-    const GemmTiling tiling = gemm_tiling();
-    const GemmV3Config cfg{isa, tile.mr, tile.nr, tiling.mc, tiling.kc,
-                           tiling.nc};
+    const la::AutotuneResult d = la::default_autotune(isa);
+    const GemmV3Config cfg{isa, d.mr, d.nr, d.mc, d.kc, d.nc};
     sg.reset();
     zgemm_v3_explicit(cfg, Op::kNone, Op::kNone, cplx{1, 0}, a, b, cplx{}, c,
                       /*parallel=*/false);

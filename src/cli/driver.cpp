@@ -151,12 +151,13 @@ JobInput read_job_input(const InputFile& in) {
                    "unknown sigma_method '" + j.sigma_method + "'",
                    ErrorKind::kValidation);
   j.n_tau = in.get_int("n_tau", StOptions{}.n_tau);
-  j.n_e_points = in.get_int(
-      "n_e_points",
-      j.job == "sigma_offdiag" ? 12 : j.job == "gwpt" ? 2 : 3);
+  const idx n_e_default = j.job == "sigma_offdiag" ? 12
+                          : j.job == "gwpt" ? GwptOptions{}.n_e_points
+                                            : 3;
+  j.n_e_points = in.get_int("n_e_points", n_e_default);
   j.e_step = in.get_double("e_step", 0.02);
   j.sigma_bands = in.get_int_list("sigma_bands");
-  j.n_freq = in.get_int("n_freq", j.job == "ff" ? 24 : 0);
+  j.n_freq = in.get_int("n_freq", j.job == "ff" ? FfOptions{}.n_freq : 0);
   XGW_REQUIRE(j.n_freq >= 0, "input key 'n_freq' must be >= 0");
   j.ff_eta = in.get_double("eta", FfOptions{}.eta);
 
@@ -507,6 +508,40 @@ int dispatch_job(const JobInput& ji, const InputFile& in, std::ostream& os) {
   return 1;
 }
 
+bool is_gpp_sigma(const JobInput& j) {
+  return j.job == "sigma" && j.sigma_method == "gpp";
+}
+
+bool reads_memory_budget(const JobInput& j) {
+  return j.job == "epsilon" || j.job == "sigma" || j.job == "ff";
+}
+
+/// A key that only some jobs read, and (for the error message) which.
+struct JobScopedKey {
+  const char* name;
+  const char* readers;
+  bool (*read_by)(const JobInput&);
+};
+
+constexpr JobScopedKey kJobScopedKeys[] = {
+    {"checkpoint",
+     "job sigma with sigma_method gpp and job epsilon with n_freq write "
+     "restart files",
+     [](const JobInput& j) {
+       return is_gpp_sigma(j) || (j.job == "epsilon" && j.n_freq > 0);
+     }},
+    {"pseudobands", "jobs epsilon, sigma, sigma_offdiag and ff read it",
+     [](const JobInput& j) {
+       return j.job == "epsilon" || j.job == "sigma" ||
+              j.job == "sigma_offdiag" || j.job == "ff";
+     }},
+    {"memory_budget_mb", "jobs epsilon, sigma and ff read it",
+     &reads_memory_budget},
+    {"memory_budget_machine", "jobs epsilon, sigma and ff read it",
+     &reads_memory_budget},
+    {"e_step", "job sigma with sigma_method gpp reads it", &is_gpp_sigma},
+};
+
 /// Canonical text form of the parsed input (sorted keys) — what the run
 /// report's config hash is computed over, so two inputs that parse to the
 /// same configuration hash identically regardless of formatting.
@@ -570,20 +605,17 @@ int run_job(const InputFile& in, std::ostream& os) {
   const JobInput ji = read_job_input(in);
   const std::string& job = ji.job;
 
-  // Only the GPP Sigma band loop and the imaginary-axis epsilon sweep keep
-  // restart files; anywhere else a `checkpoint` key would be silently
-  // ignored and the user would learn it only after a kill.
-  if (in.has("checkpoint")) {
-    const bool restarts = (job == "sigma" && ji.sigma_method == "gpp") ||
-                          (job == "epsilon" && ji.n_freq > 0);
+  // A key that only some jobs read is rejected by every other job before
+  // any compute: the user would otherwise learn that it did nothing only
+  // from the results (or, for `checkpoint`, after a kill).
+  for (const JobScopedKey& k : kJobScopedKeys)
     XGW_REQUIRE_KIND(
-        restarts,
-        "input key 'checkpoint' has no effect for job '" + job + "'" +
+        !in.has(k.name) || k.read_by(ji),
+        std::string("input key '") + k.name + "' has no effect for job '" +
+            job + "'" +
             (job == "sigma" ? " with sigma_method " + ji.sigma_method : "") +
-            ": only job sigma with sigma_method gpp and job epsilon with "
-            "n_freq write restart files",
+            ": only " + k.readers,
         ErrorKind::kValidation);
-  }
 
   // Robustness knobs. Each is assigned unconditionally from
   // input-or-default so one run never inherits the previous run's modes

@@ -47,6 +47,9 @@ std::span<const InputKey> input_keys();
 /// The names of input_keys(), in table order (used to reject typos).
 const std::vector<std::string>& known_input_keys();
 
+/// Runs one job. A key that only some jobs read (checkpoint, pseudobands,
+/// memory_budget_mb, memory_budget_machine, e_step) is rejected with
+/// ErrorKind::kValidation, before any compute, by a job that would ignore it.
 int run_job(const InputFile& in, std::ostream& os);
 
 // --- the job reader -------------------------------------------------------
@@ -55,8 +58,9 @@ int run_job(const InputFile& in, std::ostream& os);
 // per-job dispatchers and serve::resolve_spec both take their values from
 // read_job_input, so a cache key always names the physics a run computes.
 // Each default lives in one place: the library option struct the value
-// lands in (GwParameters, StOptions, PseudobandsOptions, FfOptions) or
-// read_job_input itself, which also owns the job-dependent ones.
+// lands in (GwParameters, StOptions, PseudobandsOptions, FfOptions,
+// GwptOptions) or read_job_input itself, which also owns the job-dependent
+// ones.
 
 struct JobInput {
   std::string job;
@@ -71,10 +75,10 @@ struct JobInput {
   // Sigma request.
   std::string sigma_method;      ///< "gpp" | "space_time"
   idx n_tau;
-  idx n_e_points;                ///< sigma 3, sigma_offdiag 12, gwpt 2
+  idx n_e_points;                ///< sigma 3, sigma_offdiag 12, gwpt GwptOptions{}
   double e_step;
   std::vector<idx> sigma_bands;  ///< empty: the gap pair {N_v - 1, N_v}
-  idx n_freq;                    ///< ff 24; other jobs 0 (no sweep)
+  idx n_freq;                    ///< ff FfOptions{}; other jobs 0 (no sweep)
   double ff_eta;                 ///< job ff's broadening: eta, else FfOptions{}
   double memory_budget_mb;       ///< 0 = no budget
 };

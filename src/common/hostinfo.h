@@ -5,8 +5,8 @@
 //
 // Both consumers need the SAME answer to "is this the machine the numbers
 // were produced on": the bench compare gate prints it so a reviewer can spot
-// cross-machine comparisons, and the autotuner keys its cached tile choice on
-// it so a cache written on one CPU/compiler is never trusted on another.
+// cross-machine comparisons, and the autotune cache keys its FMA-peak probe
+// on it so a cache written on one CPU/compiler is never trusted on another.
 
 #include <string>
 

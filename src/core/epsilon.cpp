@@ -135,10 +135,9 @@ std::vector<ZMatrix> epsilon_inverse_multi(
     base.add(wf).add(std::span<const double>(v.values()));
     base.add(opt.eta).add(opt.nv_block).add(opt.head_value).add(
         opt.imaginary_axis);
-    // The GEMM engine's kernel and tiles fix chi's summation order, so a
-    // resume on another host (or autotune cache) recomputes, never mixes.
-    const GemmV3Config& g = gemm_v3_active_config();
-    base.add(g.isa).add(g.mr).add(g.nr).add(g.mc).add(g.kc).add(g.nc);
+    // The GEMM engine's ISA fixes its kernel and tiles, and with them chi's
+    // summation order, so a resume on another host recomputes, never mixes.
+    base.add(gemm_v3_active_config().isa);
     for (idx k = 0; k < nfreq; ++k) {
       const std::size_t i = static_cast<std::size_t>(k);
       RestartKey key = base;

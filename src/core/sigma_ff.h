@@ -29,7 +29,7 @@
 namespace xgw {
 
 struct FfOptions {
-  idx n_freq = 16;          ///< number of real-frequency samples (N_omega)
+  idx n_freq = 24;          ///< number of real-frequency samples (N_omega)
   double omega_max = -1.0;  ///< grid upper edge (Ha); <=0 -> auto from spectrum
   double eta = 0.02;        ///< broadening for eps(omega) and denominators
   double subspace_fraction = 0.0;  ///< >0: use static subspace of this fraction

@@ -21,7 +21,7 @@
 namespace xgw {
 
 struct GwptOptions {
-  idx n_e_points = 4;          ///< energy grid points for dSigma(E)
+  idx n_e_points = 2;          ///< energy grid points for dSigma(E)
   double degen_tol = 1e-6;     ///< sum-over-states degeneracy exclusion
 };
 

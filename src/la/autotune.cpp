@@ -1,6 +1,5 @@
 #include "la/autotune.h"
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -13,7 +12,6 @@
 
 #include "common/error.h"
 #include "common/hostinfo.h"
-#include "la/gemm.h"
 #include "la/microkernel.h"
 #include "obs/report.h"
 
@@ -21,22 +19,13 @@ namespace xgw::la {
 
 namespace {
 
-constexpr const char* kMagic = "xgw-autotune-v1";
-constexpr int kFormatVersion = 1;
-
-// Candidate cache tilings swept per register tile. MC is fixed at 64 (it
-// bounds the per-thread A-pack and C-accumulator footprint the memory
-// planner already models); KC/NC trade B-panel L2 residency against pack
-// overhead.
-constexpr idx kSweepKc[] = {128, 256};
-constexpr idx kSweepNc[] = {256, 512};
-constexpr idx kSweepMc = 64;
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+// Line layout: magic, key, fma_peak_gflops, checksum. The magic's version
+// suffix and the key both change with the format; files of another format
+// keep the prefix, so they read as stale rather than as damage.
+constexpr const char* kMagicPrefix = "xgw-autotune-v";
+constexpr const char* kMagic = "xgw-autotune-v2";
+constexpr int kFormatVersion = 2;
+constexpr std::size_t kLines = 4;
 
 std::string content_for_checksum(const std::vector<std::string>& lines) {
   std::string s;
@@ -45,23 +34,6 @@ std::string content_for_checksum(const std::vector<std::string>& lines) {
     s += '\n';
   }
   return s;
-}
-
-long long parse_ll(const std::string& line, const char* field) {
-  const auto sp = line.find(' ');
-  XGW_REQUIRE_KIND(sp != std::string::npos &&
-                       line.compare(0, sp, field) == 0,
-                   std::string("autotune cache: expected field '") + field +
-                       "', got '" + line + "'",
-                   ErrorKind::kIoCorrupt);
-  char* end = nullptr;
-  const std::string v = line.substr(sp + 1);
-  const long long out = std::strtoll(v.c_str(), &end, 10);
-  XGW_REQUIRE_KIND(end != nullptr && *end == '\0' && !v.empty(),
-                   std::string("autotune cache: bad integer in '") + line +
-                       "'",
-                   ErrorKind::kIoCorrupt);
-  return out;
 }
 
 double parse_double(const std::string& line, const char* field) {
@@ -91,28 +63,14 @@ std::string parse_str(const std::string& line, const char* field) {
   return line.substr(sp + 1);
 }
 
-// Deterministic non-trivial fill for the sweep operands (no RNG: tuning
-// must not perturb any seeded randomness the caller owns).
-void fill_matrix(ZMatrix& m, double phase) {
-  for (idx i = 0; i < m.rows(); ++i)
-    for (idx j = 0; j < m.cols(); ++j) {
-      const double t = phase + 0.37 * static_cast<double>(i) -
-                       0.11 * static_cast<double>(j);
-      m(i, j) = cplx{1.0 + 0.001 * t, 0.5 - 0.0007 * t};
-    }
-}
-
 }  // namespace
 
 AutotuneResult default_autotune(SimdIsa isa) {
-  AutotuneResult r;
+  const MicroKernel k = select_microkernel(isa);
+  AutotuneResult r;  // mc/kc/nc: the struct's one cache tiling
   r.isa = isa;
-  const TileShape t = default_tile(isa);
-  r.mr = t.mr;
-  r.nr = t.nr;
-  r.mc = kSweepMc;
-  r.kc = 128;
-  r.nc = 256;
+  r.mr = k.mr;
+  r.nr = k.nr;
   return r;
 }
 
@@ -148,72 +106,41 @@ bool load_autotune_cache(const std::string& path, SimdIsa isa,
 
   XGW_REQUIRE_KIND(!lines.empty(), "autotune cache: empty file",
                    ErrorKind::kIoTruncated);
-  XGW_REQUIRE_KIND(lines[0] == kMagic,
+  XGW_REQUIRE_KIND(lines[0].rfind(kMagicPrefix, 0) == 0,
                    "autotune cache: bad magic line (not an autotune cache)",
                    ErrorKind::kIoCorrupt);
-  // magic + 9 fields + checksum
-  XGW_REQUIRE_KIND(lines.size() >= 11,
+  XGW_REQUIRE_KIND(lines.size() >= 2,
                    "autotune cache: file cut short (torn write?)",
                    ErrorKind::kIoTruncated);
 
-  // Stale (other machine / compiler / isa) is decided BEFORE the checksum:
-  // a foreign cache is a well-formed file we simply don't trust, not damage.
+  // Stale (other machine / compiler / isa / format) is decided BEFORE the
+  // layout and the checksum: a foreign cache is a well-formed file we
+  // simply don't trust, not damage.
   const std::string key = parse_str(lines[1], "key");
   if (key != autotune_cache_key(isa)) return false;
 
-  const std::string check = parse_str(lines[10], "checksum");
+  XGW_REQUIRE_KIND(lines.size() >= kLines,
+                   "autotune cache: file cut short (torn write?)",
+                   ErrorKind::kIoTruncated);
+  const std::string check = parse_str(lines[kLines - 1], "checksum");
   const std::string expect = obs::fnv1a_hex(content_for_checksum(
-      std::vector<std::string>(lines.begin(), lines.begin() + 10)));
+      std::vector<std::string>(lines.begin(), lines.begin() + kLines - 1)));
   XGW_REQUIRE_KIND(check == expect, "autotune cache: checksum mismatch",
                    ErrorKind::kIoCorrupt);
 
-  AutotuneResult r;
-  const std::string isa_s = parse_str(lines[2], "isa");
-  XGW_REQUIRE_KIND(parse_simd_isa(isa_s, &r.isa),
-                   "autotune cache: unknown isa '" + isa_s + "'",
-                   ErrorKind::kIoCorrupt);
-  r.mr = static_cast<int>(parse_ll(lines[3], "mr"));
-  r.nr = static_cast<int>(parse_ll(lines[4], "nr"));
-  r.mc = static_cast<idx>(parse_ll(lines[5], "mc"));
-  r.kc = static_cast<idx>(parse_ll(lines[6], "kc"));
-  r.nc = static_cast<idx>(parse_ll(lines[7], "nc"));
-  r.fma_peak_gflops = parse_double(lines[8], "fma_peak_gflops");
-  r.best_gflops = parse_double(lines[9], "best_gflops");
-  XGW_REQUIRE_KIND(r.mr > 0 && r.nr > 0 && r.mc > 0 && r.kc > 0 && r.nc > 0,
-                   "autotune cache: non-positive tile size",
-                   ErrorKind::kIoCorrupt);
-
-  // A cache whose (mr, nr) kernel is not compiled in THIS build (e.g.
-  // written by a SIMD build, read by XGW_DISABLE_SIMD) is stale, not fatal.
-  if (r.isa != isa || select_microkernel(r.isa, r.mr, r.nr) == nullptr)
-    return false;
-
+  AutotuneResult r = default_autotune(isa);
+  r.fma_peak_gflops = parse_double(lines[2], "fma_peak_gflops");
   r.from_cache = true;
-  r.swept = true;
   *out = r;
   return true;
 }
 
 void save_autotune_cache(const std::string& path, const AutotuneResult& r) {
-  std::vector<std::string> lines;
-  lines.push_back(kMagic);
-  lines.push_back("key " + autotune_cache_key(r.isa));
-  lines.push_back(std::string("isa ") + simd_isa_name(r.isa));
-  lines.push_back("mr " + std::to_string(r.mr));
-  lines.push_back("nr " + std::to_string(r.nr));
-  lines.push_back("mc " + std::to_string(static_cast<long long>(r.mc)));
-  lines.push_back("kc " + std::to_string(static_cast<long long>(r.kc)));
-  lines.push_back("nc " + std::to_string(static_cast<long long>(r.nc)));
-  {
-    std::ostringstream os;
-    os << "fma_peak_gflops " << r.fma_peak_gflops;
-    lines.push_back(os.str());
-  }
-  {
-    std::ostringstream os;
-    os << "best_gflops " << r.best_gflops;
-    lines.push_back(os.str());
-  }
+  std::vector<std::string> lines{kMagic,
+                                 "key " + autotune_cache_key(r.isa)};
+  std::ostringstream os;
+  os << "fma_peak_gflops " << r.fma_peak_gflops;
+  lines.push_back(os.str());
   lines.push_back("checksum " +
                   obs::fnv1a_hex(content_for_checksum(lines)));
 
@@ -240,44 +167,9 @@ void save_autotune_cache(const std::string& path, const AutotuneResult& r) {
 }
 
 AutotuneResult run_autotune(SimdIsa isa, const AutotuneOptions& opt) {
-  AutotuneResult best = default_autotune(isa);
-  best.fma_peak_gflops = fma_peak_gflops(isa, opt.probe_ms);
-  best.swept = true;
-
-  const idx n = opt.sweep_n;
-  ZMatrix a(n, n), b(n, n), c(n, n);
-  fill_matrix(a, 0.3);
-  fill_matrix(b, 1.7);
-
-  const double flops = 8.0 * static_cast<double>(n) * static_cast<double>(n) *
-                       static_cast<double>(n);
-  double best_time = -1.0;
-  for (const TileShape& tile : kernel_candidates(isa)) {
-    for (const idx kc : kSweepKc) {
-      for (const idx nc : kSweepNc) {
-        const GemmV3Config cfg{isa, tile.mr, tile.nr, kSweepMc, kc, nc};
-        // Warm-up rep (page faults, frequency ramp), then keep the best rep.
-        double t_min = -1.0;
-        for (int rep = 0; rep <= opt.sweep_reps; ++rep) {
-          const double t0 = now_seconds();
-          zgemm_v3_explicit(cfg, Op::kNone, Op::kNone, cplx{1.0, 0.0}, a, b,
-                            cplx{0.0, 0.0}, c, /*parallel=*/false);
-          const double dt = now_seconds() - t0;
-          if (rep > 0 && (t_min < 0.0 || dt < t_min)) t_min = dt;
-        }
-        if (best_time < 0.0 || t_min < best_time) {
-          best_time = t_min;
-          best.mr = tile.mr;
-          best.nr = tile.nr;
-          best.mc = kSweepMc;
-          best.kc = kc;
-          best.nc = nc;
-        }
-      }
-    }
-  }
-  if (best_time > 0.0) best.best_gflops = flops / best_time * 1e-9;
-  return best;
+  AutotuneResult r = default_autotune(isa);
+  r.fma_peak_gflops = fma_peak_gflops(isa, opt.probe_ms);
+  return r;
 }
 
 AutotuneResult resolve_autotune(const std::string& path, SimdIsa isa,
@@ -300,13 +192,8 @@ AutotuneResult resolve_autotune(const std::string& path, SimdIsa isa,
 }
 
 const AutotuneResult& autotune_result() {
-  static const AutotuneResult r = [] {
-    const SimdIsa isa = detected_simd_isa();
-    if (const char* mode = std::getenv("XGW_AUTOTUNE");
-        mode != nullptr && std::string(mode) == "off")
-      return default_autotune(isa);
-    return resolve_autotune(autotune_cache_path(), isa);
-  }();
+  static const AutotuneResult r =
+      resolve_autotune(autotune_cache_path(), detected_simd_isa());
   return r;
 }
 

@@ -162,15 +162,15 @@ void engine_span_args(obs::Span& span, const GemmV3Config& cfg) {
 // are packed into zero-padded MR/NR strips of split-complex (re/im planar)
 // doubles and each C tile is computed by an explicit register-blocked
 // micro-kernel (la/microkernel.*) that keeps the tile FMA-resident across
-// the whole KC block. Kernel + tile sizes come from the GemmV3Config (cpuid
-// dispatch + disk-cached autotune).
+// the whole KC block. Kernel + tile sizes come from the GemmV3Config: the
+// cpuid-dispatched ISA's one micro-kernel at the one cache tiling.
 
 /// Per-thread strip-packed workspace of the engine. Capacities are CLAMPED
 /// to the actual problem dimensions: a block never exceeds min(tile, dim),
 /// so small products (the GWPT/GPP perturbed chains, tiny batch members)
 /// allocate and zero only what one block can touch instead of the full
-/// autotuned-tile footprint. Clamping changes capacity only — block
-/// boundaries, loop order, and therefore results are untouched.
+/// tile footprint. Clamping changes capacity only — block boundaries, loop
+/// order, and therefore results are untouched.
 struct V3Buffers {
   std::vector<double> are, aim, cre, cim;
   V3Buffers(const GemmV3Config& cfg, idx m, idx n, idx k)
@@ -269,10 +269,10 @@ void panel_tiles(const GemmV3Config& cfg, la::MicroKernelFn kern, Op opa,
 }
 
 la::MicroKernelFn engine_kernel(const GemmV3Config& cfg) {
-  la::MicroKernelFn kern = la::select_microkernel(cfg.isa, cfg.mr, cfg.nr);
-  XGW_REQUIRE(kern != nullptr,
-              "gemm engine: no compiled micro-kernel for this (isa, mr, nr)");
-  return kern;
+  const la::MicroKernel k = la::select_microkernel(cfg.isa);
+  XGW_REQUIRE(k.mr == cfg.mr && k.nr == cfg.nr,
+              "gemm engine: (mr, nr) must be the ISA's micro-kernel tile");
+  return k.fn;
 }
 
 /// The one GEMM driver: C_i = alpha * op(A_i) * op(B) + beta * C_i over
@@ -373,6 +373,7 @@ GemmTiling gemm_tiling() {
 
 const GemmV3Config& gemm_v3_active_config() {
   static const GemmV3Config cfg = [] {
+    // Resolving the probe here leaves this machine's cache on first use.
     const la::AutotuneResult& r = la::autotune_result();
     return GemmV3Config{r.isa, r.mr, r.nr, r.mc, r.kc, r.nc};
   }();

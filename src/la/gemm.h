@@ -11,10 +11,11 @@
 //   kSimd       — the engine: operands packed into split-complex (re/im
 //                 planar) strips and driven by explicit register-blocked
 //                 SIMD micro-kernels (la/microkernel.*): an MR x NR tile of C
-//                 stays register-resident across each KC block. The kernel
-//                 (AVX-512, AVX2, or scalar) and the {MR, NR, KC, NC} tiling
-//                 come from runtime cpuid dispatch plus the disk-cached
-//                 autotuner (la/autotune.*); single-threaded.
+//                 stays register-resident across each KC block. The ISA
+//                 (AVX-512, AVX2, or scalar) comes from runtime cpuid
+//                 dispatch and fixes everything else: its one kernel and
+//                 {MR, NR}, at MC/KC/NC = 64/128/256 (la/autotune.h);
+//                 single-threaded.
 //   kParallel   — the engine with OpenMP over row panels; the packed-B panel
 //                 is shared by the whole team and packed only once per
 //                 (j0, l0) tile column. Requested from inside an active
@@ -122,10 +123,8 @@ void zgemv(Op opa, cplx alpha, const ZMatrix& a, const std::vector<cplx>& x,
 std::pair<idx, idx> op_shape(Op op, const ZMatrix& a);
 
 /// Cache-tile sizes of the engine (MC x KC A panels, KC x NC B panels),
-/// exported for the roofline model in perf/. Reports the autotuned tiling
-/// — i.e. gemm_v3_active_config() — so rooflines describe the tiles
-/// actually run on this machine (first call may trigger the autotune
-/// probe/sweep; see la/autotune.h).
+/// exported for the roofline model in perf/: gemm_v3_active_config()'s
+/// tiling, the one every ISA runs.
 struct GemmTiling {
   idx mc, kc, nc;
 };
@@ -139,15 +138,18 @@ struct GemmV3Config {
   idx mc, kc, nc;
 };
 
-/// The process-wide engine configuration: detected ISA + autotuned tiles
-/// (lazily resolved through la/autotune.* on first use; cached thereafter).
+/// The process-wide engine configuration: la::default_autotune() of the
+/// detected ISA. The first call resolves la::autotune_result(), which
+/// probes the FMA peak and writes the per-machine cache when none is
+/// valid.
 const GemmV3Config& gemm_v3_active_config();
 
-/// Run the engine under an EXPLICIT configuration, bypassing dispatch
-/// and autotuning. For the autotune sweep, parity tests, and benches; the
-/// (isa, mr, nr) kernel must exist (XGW_REQUIRE) and `cfg.isa` must be
-/// executable on the host (caller's responsibility — stay at or below
-/// la::detected_simd_isa()). No obs span, no FLOP attribution.
+/// Run the engine under an EXPLICIT configuration, bypassing dispatch. For
+/// parity tests and benches; (mr, nr) must be the tile of `cfg.isa`'s
+/// micro-kernel (XGW_REQUIRE), mc/kc/nc may be anything positive, and
+/// `cfg.isa` must be executable on the host (caller's responsibility —
+/// stay at or below la::detected_simd_isa()). No obs span, no FLOP
+/// attribution.
 void zgemm_v3_explicit(const GemmV3Config& cfg, Op opa, Op opb, cplx alpha,
                        const ZMatrix& a, const ZMatrix& b, cplx beta,
                        ZMatrix& c, bool parallel);

@@ -53,7 +53,7 @@ void mk_scalar_4x8(idx kb, const double* ar, const double* ai,
 #ifdef XGW_X86_SIMD
 
 // ---------------------------------------------------------------------------
-// AVX2+FMA kernels (256-bit, 4 doubles/vector, 16 ymm registers).
+// AVX2+FMA kernel (256-bit, 4 doubles/vector, 16 ymm registers).
 
 // Store `lanes` (1..4) leading doubles of v at p.
 XGW_TARGET_AVX2 inline void st256_tail(double* p, __m256d v, int lanes) {
@@ -122,42 +122,8 @@ XGW_TARGET_AVX2 void mk_avx2_2x8(idx kb, const double* ar, const double* ai,
   }
 }
 
-// MR=4 x NR=4: taller tile, one B column-vector pair per step; 8 ymm
-// accumulators + 2 B vectors + 2 broadcasts.
-XGW_TARGET_AVX2 void mk_avx2_4x4(idx kb, const double* ar, const double* ai,
-                                 const double* br, const double* bi,
-                                 double* cr, double* ci, idx ldc, int mrem,
-                                 int nrem) {
-  __m256d accr[4], acci[4];
-  for (int i = 0; i < 4; ++i) {
-    accr[i] = _mm256_setzero_pd();
-    acci[i] = _mm256_setzero_pd();
-  }
-  for (idx l = 0; l < kb; ++l) {
-    const __m256d b0r = _mm256_loadu_pd(br + l * 4);
-    const __m256d b0i = _mm256_loadu_pd(bi + l * 4);
-    for (int i = 0; i < 4; ++i) {
-      const __m256d av = _mm256_broadcast_sd(ar + l * 4 + i);
-      const __m256d aw = _mm256_broadcast_sd(ai + l * 4 + i);
-      accr[i] = _mm256_fmadd_pd(av, b0r, accr[i]);
-      accr[i] = _mm256_fnmadd_pd(aw, b0i, accr[i]);
-      acci[i] = _mm256_fmadd_pd(av, b0i, acci[i]);
-      acci[i] = _mm256_fmadd_pd(aw, b0r, acci[i]);
-    }
-  }
-  for (int i = 0; i < mrem; ++i) {
-    if (nrem >= 4) {
-      _mm256_storeu_pd(cr + i * ldc, accr[i]);
-      _mm256_storeu_pd(ci + i * ldc, acci[i]);
-    } else {
-      st256_tail(cr + i * ldc, accr[i], nrem);
-      st256_tail(ci + i * ldc, acci[i], nrem);
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
-// AVX-512F kernels (512-bit, 8 doubles/vector, 32 zmm registers).
+// AVX-512F kernel (512-bit, 8 doubles/vector, 32 zmm registers).
 
 // Store the leading nrem (0..16) doubles of the (v0, v1) register row at p.
 XGW_TARGET_AVX512 inline void st512_row(double* p, __m512d v0, __m512d v1,
@@ -175,9 +141,9 @@ XGW_TARGET_AVX512 inline void st512_row(double* p, __m512d v0, __m512d v1,
         p + 8, static_cast<__mmask8>((1u << (nrem - 8)) - 1u), v1);
 }
 
-// MR=4 x NR=16: 16 zmm accumulators + 4 B vectors + 2 broadcasts = 22 regs.
-// The primary candidate: widest B row that still leaves the accumulators
-// resident, 4-deep broadcast reuse of each B load.
+// MR=4 x NR=16: 16 zmm accumulators + 4 B vectors + 2 broadcasts = 22 regs:
+// the widest B row that still leaves the accumulators resident, 4-deep
+// broadcast reuse of each B load.
 XGW_TARGET_AVX512 void mk_avx512_4x16(idx kb, const double* ar,
                                       const double* ai, const double* br,
                                       const double* bi, double* cr, double* ci,
@@ -253,37 +219,6 @@ XGW_TARGET_AVX512 void mk_avx512_4x16(idx kb, const double* ar,
   if (mrem > 3) {
     st512_row(cr + 3 * ldc, c3r0, c3r1, nrem);
     st512_row(ci + 3 * ldc, c3i0, c3i1, nrem);
-  }
-}
-
-// MR=8 x NR=8: square-ish alternative; 16 zmm accumulators + 2 B vectors,
-// 8-deep broadcast reuse per B load (half the B-load traffic of 4x16).
-XGW_TARGET_AVX512 void mk_avx512_8x8(idx kb, const double* ar,
-                                     const double* ai, const double* br,
-                                     const double* bi, double* cr, double* ci,
-                                     idx ldc, int mrem, int nrem) {
-  __m512d accr[8], acci[8];
-  for (int i = 0; i < 8; ++i) {
-    accr[i] = _mm512_setzero_pd();
-    acci[i] = _mm512_setzero_pd();
-  }
-  for (idx l = 0; l < kb; ++l) {
-    const __m512d b0r = _mm512_loadu_pd(br + l * 8);
-    const __m512d b0i = _mm512_loadu_pd(bi + l * 8);
-    for (int i = 0; i < 8; ++i) {
-      const __m512d av = _mm512_set1_pd(ar[l * 8 + i]);
-      const __m512d aw = _mm512_set1_pd(ai[l * 8 + i]);
-      accr[i] = _mm512_fmadd_pd(av, b0r, accr[i]);
-      accr[i] = _mm512_fnmadd_pd(aw, b0i, accr[i]);
-      acci[i] = _mm512_fmadd_pd(av, b0i, acci[i]);
-      acci[i] = _mm512_fmadd_pd(aw, b0r, acci[i]);
-    }
-  }
-  const __mmask8 m =
-      nrem >= 8 ? __mmask8{0xFF} : static_cast<__mmask8>((1u << nrem) - 1u);
-  for (int i = 0; i < mrem; ++i) {
-    _mm512_mask_storeu_pd(cr + i * ldc, m, accr[i]);
-    _mm512_mask_storeu_pd(ci + i * ldc, m, acci[i]);
   }
 }
 
@@ -391,67 +326,21 @@ double run_probe(double (*chain)(long long), double flops_per_iter,
   }
 }
 
-struct KernelEntry {
-  SimdIsa isa;
-  TileShape tile;
-  MicroKernelFn fn;
-};
-
-constexpr KernelEntry kKernelTable[] = {
-    {SimdIsa::kScalar, {kScalarMR, kScalarNR}, &mk_scalar_4x8},
-#ifdef XGW_X86_SIMD
-    {SimdIsa::kAvx2, {2, 8}, &mk_avx2_2x8},
-    {SimdIsa::kAvx2, {4, 4}, &mk_avx2_4x4},
-    {SimdIsa::kAvx512, {4, 16}, &mk_avx512_4x16},
-    {SimdIsa::kAvx512, {8, 8}, &mk_avx512_8x8},
-#endif
-};
-
 }  // namespace
 
-const std::vector<TileShape>& kernel_candidates(SimdIsa isa) {
-  static const std::vector<TileShape> scalar = [] {
-    std::vector<TileShape> v;
-    for (const auto& e : kKernelTable)
-      if (e.isa == SimdIsa::kScalar) v.push_back(e.tile);
-    return v;
-  }();
-  static const std::vector<TileShape> avx2 = [] {
-    std::vector<TileShape> v;
-    for (const auto& e : kKernelTable)
-      if (e.isa == SimdIsa::kAvx2) v.push_back(e.tile);
-    return v;
-  }();
-  static const std::vector<TileShape> avx512 = [] {
-    std::vector<TileShape> v;
-    for (const auto& e : kKernelTable)
-      if (e.isa == SimdIsa::kAvx512) v.push_back(e.tile);
-    return v;
-  }();
+MicroKernel select_microkernel(SimdIsa isa) {
+#ifdef XGW_X86_SIMD
   switch (isa) {
-    case SimdIsa::kAvx2:
-      if (!avx2.empty()) return avx2;
-      break;
     case SimdIsa::kAvx512:
-      if (!avx512.empty()) return avx512;
-      break;
+      return {4, 16, &mk_avx512_4x16};
+    case SimdIsa::kAvx2:
+      return {2, 8, &mk_avx2_2x8};
     case SimdIsa::kScalar:
       break;
   }
-  return scalar;
-}
-
-TileShape default_tile(SimdIsa isa) { return kernel_candidates(isa).front(); }
-
-MicroKernelFn select_microkernel(SimdIsa isa, int mr, int nr) {
-  for (const auto& e : kKernelTable)
-    if (e.isa == isa && e.tile.mr == mr && e.tile.nr == nr) return e.fn;
-  // The scalar kernel backs ISAs whose kernels were not compiled, under the
-  // same tile the scalar candidate list advertises.
-  if (isa != SimdIsa::kScalar && mr == kScalarMR && nr == kScalarNR &&
-      kernel_candidates(isa).front().mr == kScalarMR)
-    return &mk_scalar_4x8;
-  return nullptr;
+#endif
+  (void)isa;
+  return {kScalarMR, kScalarNR, &mk_scalar_4x8};
 }
 
 double fma_peak_gflops(SimdIsa isa, double budget_ms) {

@@ -28,17 +28,10 @@
 //            region is stored (masked/partial stores on the n edge), so
 //            Cacc needs no zeroing between calls.
 
-#include <vector>
-
 #include "la/gemm.h"
 #include "la/simd.h"
 
 namespace xgw::la {
-
-/// Register-tile footprint of one micro-kernel.
-struct TileShape {
-  int mr, nr;
-};
 
 /// One micro-kernel call: overwrite the mrem x nrem C tile with the product
 /// of one zero-padded MR-row A strip and one NR-col B strip over kb.
@@ -46,18 +39,19 @@ using MicroKernelFn = void (*)(idx kb, const double* ar, const double* ai,
                                const double* br, const double* bi, double* cr,
                                double* ci, idx ldc, int mrem, int nrem);
 
-/// Register-tile candidates compiled for `isa`, best-guess first.  The
-/// autotuner sweeps exactly this list.  Never empty: the scalar list backs
-/// ISAs whose kernels were not compiled (XGW_DISABLE_SIMD / non-x86).
-const std::vector<TileShape>& kernel_candidates(SimdIsa isa);
+/// A micro-kernel and its MR x NR register tile.
+struct MicroKernel {
+  int mr, nr;
+  MicroKernelFn fn;
+};
 
-/// First (default) candidate for `isa` — used when autotuning is disabled.
-TileShape default_tile(SimdIsa isa);
-
-/// Kernel for (isa, mr, nr), or nullptr when that tile is not compiled for
-/// that ISA.  Executing a non-scalar kernel is only safe when
+/// The one micro-kernel of `isa`: scalar 4x8, AVX2 2x8, AVX-512 4x16. Every
+/// SIMD kernel runs the same fmadd/fnmadd sequence per C element, so at
+/// one cache tiling the AVX2 and AVX-512 engines give the same bits. An ISA
+/// whose kernel is not compiled (XGW_DISABLE_SIMD / non-x86) gets the scalar
+/// kernel. Executing a non-scalar kernel is only safe when
 /// detected_simd_isa() >= isa.
-MicroKernelFn select_microkernel(SimdIsa isa, int mr, int nr);
+MicroKernel select_microkernel(SimdIsa isa);
 
 /// Measured FMA peak of one core at `isa` width (GFLOP/s), via chains of
 /// independent register FMAs (SNIPPETS.md snippet 3 pattern: enough chains

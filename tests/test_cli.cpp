@@ -11,7 +11,9 @@
 #include "cli/driver.h"
 #include "common/error.h"
 #include "common/validate.h"
+#include "core/sigma_ff.h"
 #include "core/sigma_st.h"
+#include "gwpt/gwpt.h"
 
 namespace xgw {
 namespace {
@@ -97,6 +99,9 @@ TEST(JobReader, DefaultsComeFromTheLibraryStructs) {
   EXPECT_EQ(j.sigma_method, "gpp");
   EXPECT_TRUE(j.sigma_bands.empty());
   EXPECT_EQ(j.memory_budget_mb, 0.0);
+  EXPECT_EQ(read("job ff\nmaterial silicon\n").n_freq, FfOptions{}.n_freq);
+  EXPECT_EQ(read("job gwpt\nmaterial silicon\n").n_e_points,
+            GwptOptions{}.n_e_points);
 
   const JobInput k = read(
       "job sigma\nmaterial silicon\nvacancy 0\ncoulomb slab\n"
@@ -229,6 +234,82 @@ TEST(Driver, CheckpointRejectedWhereNothingRestarts) {
     EXPECT_FALSE(std::filesystem::exists("restart_dir")) << job;
   }
 }
+
+// Every other key that only some jobs read is rejected the same way, by
+// each job that would ignore it. One case per (job, key) pair.
+struct IgnoredKey {
+  const char* name;  ///< test-name suffix
+  const char* job;   ///< job lines
+  const char* key;   ///< the ignored key's line
+};
+
+class DriverRejectsIgnoredKey : public ::testing::TestWithParam<IgnoredKey> {
+};
+
+TEST_P(DriverRejectsIgnoredKey, BeforeAnyCompute) {
+  const IgnoredKey& p = GetParam();
+  const std::string text = std::string("material silicon\neps_cutoff 0.9\n") +
+                           p.job + "\n" + p.key + "\n";
+  const std::string key(p.key, std::string(p.key).find(' '));
+  std::ostringstream os;
+  try {
+    run_job(InputFile::parse(text, known_input_keys()), os);
+    ADD_FAILURE() << "accepted " << key << " for: " << p.job;
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kValidation) << e.what();
+    EXPECT_NE(std::string(e.what()).find("'" + key + "' has no effect"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(os.str().empty()) << "computed before rejecting";
+}
+
+constexpr const char* kPb = "pseudobands true";
+constexpr const char* kMb = "memory_budget_mb 64";
+constexpr const char* kMm = "memory_budget_machine frontier";
+constexpr const char* kEs = "e_step 0.05";
+constexpr const char* kSt = "job sigma\nsigma_method space_time";
+
+INSTANTIATE_TEST_SUITE_P(
+    Jobs, DriverRejectsIgnoredKey,
+    ::testing::Values(
+        IgnoredKey{"bands_pseudobands", "job bands", kPb},
+        IgnoredKey{"cohsex_pseudobands", "job cohsex", kPb},
+        IgnoredKey{"evgw_pseudobands", "job evgw", kPb},
+        IgnoredKey{"rpa_pseudobands", "job rpa", kPb},
+        IgnoredKey{"bse_pseudobands", "job bse", kPb},
+        IgnoredKey{"gwpt_pseudobands", "job gwpt", kPb},
+        IgnoredKey{"phonons_pseudobands", "job phonons", kPb},
+        IgnoredKey{"bands_budget", "job bands", kMb},
+        IgnoredKey{"sigma_offdiag_budget", "job sigma_offdiag", kMb},
+        IgnoredKey{"cohsex_budget", "job cohsex", kMb},
+        IgnoredKey{"evgw_budget", "job evgw", kMb},
+        IgnoredKey{"rpa_budget", "job rpa", kMb},
+        IgnoredKey{"bse_budget", "job bse", kMb},
+        IgnoredKey{"gwpt_budget", "job gwpt", kMb},
+        IgnoredKey{"phonons_budget", "job phonons", kMb},
+        IgnoredKey{"bands_machine", "job bands", kMm},
+        IgnoredKey{"sigma_offdiag_machine", "job sigma_offdiag", kMm},
+        IgnoredKey{"cohsex_machine", "job cohsex", kMm},
+        IgnoredKey{"evgw_machine", "job evgw", kMm},
+        IgnoredKey{"rpa_machine", "job rpa", kMm},
+        IgnoredKey{"bse_machine", "job bse", kMm},
+        IgnoredKey{"gwpt_machine", "job gwpt", kMm},
+        IgnoredKey{"phonons_machine", "job phonons", kMm},
+        IgnoredKey{"bands_e_step", "job bands", kEs},
+        IgnoredKey{"epsilon_e_step", "job epsilon", kEs},
+        IgnoredKey{"space_time_e_step", kSt, kEs},
+        IgnoredKey{"sigma_offdiag_e_step", "job sigma_offdiag", kEs},
+        IgnoredKey{"ff_e_step", "job ff", kEs},
+        IgnoredKey{"cohsex_e_step", "job cohsex", kEs},
+        IgnoredKey{"evgw_e_step", "job evgw", kEs},
+        IgnoredKey{"rpa_e_step", "job rpa", kEs},
+        IgnoredKey{"bse_e_step", "job bse", kEs},
+        IgnoredKey{"gwpt_e_step", "job gwpt", kEs},
+        IgnoredKey{"phonons_e_step", "job phonons", kEs}),
+    [](const ::testing::TestParamInfo<IgnoredKey>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(Driver, BandsJobReportsGaps) {
   const InputFile in = InputFile::parse(

@@ -1,6 +1,7 @@
 // Autotune cache robustness: round-trips, torn writes, corruption, stale
-// fingerprints. Everything runs against throwaway paths with fast probe
-// options so no test pollutes (or depends on) the real per-user cache.
+// fingerprints, and the engine's one configuration per ISA, which no cache
+// content can change. Everything runs against throwaway paths with a fast
+// probe so no test pollutes (or depends on) the real per-user cache.
 
 #include <gtest/gtest.h>
 
@@ -8,22 +9,21 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/error.h"
+#include "common/hostinfo.h"
 #include "la/autotune.h"
 #include "la/microkernel.h"
 #include "la/simd.h"
+#include "obs/report.h"
 
 namespace xgw::la {
 namespace {
 
-// Small enough that a full probe+sweep is fast, large enough to exercise
-// every cache-loop remainder.
 AutotuneOptions fast_opts() {
   AutotuneOptions o;
   o.probe_ms = 2.0;
-  o.sweep_reps = 1;
-  o.sweep_n = 96;
   return o;
 }
 
@@ -50,13 +50,21 @@ class AutotuneCacheTest : public ::testing::Test {
  protected:
   void SetUp() override { isa_ = detected_simd_isa(); }
 
-  // A deterministic, plausible result to write without running a sweep.
+  // A deterministic, plausible result to write without running the probe.
   AutotuneResult sample() const {
     AutotuneResult r = default_autotune(isa_);
     r.fma_peak_gflops = 12.5;
-    r.best_gflops = 7.25;
-    r.swept = true;
     return r;
+  }
+
+  static void expect_isa_tiling(const AutotuneResult& r, SimdIsa isa) {
+    const AutotuneResult d = default_autotune(isa);
+    EXPECT_EQ(r.isa, isa);
+    EXPECT_EQ(r.mr, d.mr);
+    EXPECT_EQ(r.nr, d.nr);
+    EXPECT_EQ(r.mc, d.mc);
+    EXPECT_EQ(r.kc, d.kc);
+    EXPECT_EQ(r.nc, d.nc);
   }
 
   SimdIsa isa_ = SimdIsa::kScalar;
@@ -69,14 +77,8 @@ TEST_F(AutotuneCacheTest, SaveLoadRoundTrip) {
 
   AutotuneResult got;
   ASSERT_TRUE(load_autotune_cache(path, isa_, &got));
-  EXPECT_EQ(got.isa, want.isa);
-  EXPECT_EQ(got.mr, want.mr);
-  EXPECT_EQ(got.nr, want.nr);
-  EXPECT_EQ(got.mc, want.mc);
-  EXPECT_EQ(got.kc, want.kc);
-  EXPECT_EQ(got.nc, want.nc);
+  expect_isa_tiling(got, isa_);
   EXPECT_DOUBLE_EQ(got.fma_peak_gflops, want.fma_peak_gflops);
-  EXPECT_DOUBLE_EQ(got.best_gflops, want.best_gflops);
   EXPECT_TRUE(got.from_cache);
   std::remove(path.c_str());
 }
@@ -157,8 +159,8 @@ TEST_F(AutotuneCacheTest, TornWriteAtEveryPrefixEitherLoadsOrThrowsIoKind) {
   // prefix must either throw a typed io error, read as stale (a cut inside
   // the key digest yields a well-formed foreign key), or — only when no
   // payload byte is missing (e.g. just the trailing newline) — load with
-  // values bit-identical to the intact file. Never crash, never return
-  // half-parsed tiles.
+  // values bit-identical to the intact file. Never crash, never return a
+  // half-parsed result.
   const std::string path = tmp_cache_path("torn");
   const AutotuneResult want = sample();
   save_autotune_cache(path, want);
@@ -175,12 +177,8 @@ TEST_F(AutotuneCacheTest, TornWriteAtEveryPrefixEitherLoadsOrThrowsIoKind) {
         EXPECT_GE(cut, payload_end)
             << "prefix of " << cut << "/" << bytes.size()
             << " bytes parsed as a complete cache";
-        EXPECT_EQ(got.mr, want.mr);
-        EXPECT_EQ(got.nr, want.nr);
-        EXPECT_EQ(got.kc, want.kc);
-        EXPECT_EQ(got.nc, want.nc);
+        expect_isa_tiling(got, isa_);
         EXPECT_DOUBLE_EQ(got.fma_peak_gflops, want.fma_peak_gflops);
-        EXPECT_DOUBLE_EQ(got.best_gflops, want.best_gflops);
       }
     } catch (const Error& e) {
       EXPECT_TRUE(e.kind() == ErrorKind::kIoTruncated ||
@@ -198,50 +196,99 @@ TEST_F(AutotuneCacheTest, TornWriteAtEveryPrefixEitherLoadsOrThrowsIoKind) {
 
 TEST_F(AutotuneCacheTest, ResolveRecoversFromDamageAndRewritesCache) {
   const std::string path = tmp_cache_path("resolve");
-  spit(path, "xgw-autotune-v1\ntorn");  // damaged: cut mid-file
+  spit(path, "xgw-autotune-v2\ntorn");  // damaged: cut mid-file
 
   const AutotuneResult r = resolve_autotune(path, isa_, fast_opts());
   EXPECT_FALSE(r.from_cache) << "damaged cache must force a re-probe";
-  EXPECT_TRUE(r.swept);
   EXPECT_GT(r.fma_peak_gflops, 0.0);
-  EXPECT_GT(r.best_gflops, 0.0);
+  expect_isa_tiling(r, isa_);
 
   // The re-probe must have rewritten a valid cache; a second resolve loads.
   const AutotuneResult r2 = resolve_autotune(path, isa_, fast_opts());
   EXPECT_TRUE(r2.from_cache);
-  EXPECT_EQ(r2.mr, r.mr);
-  EXPECT_EQ(r2.nr, r.nr);
-  EXPECT_EQ(r2.kc, r.kc);
-  EXPECT_EQ(r2.nc, r.nc);
+  expect_isa_tiling(r2, isa_);
   std::remove(path.c_str());
 }
 
-TEST_F(AutotuneCacheTest, ResolvedTileIsACompiledCandidate) {
-  const std::string path = tmp_cache_path("candidate");
+TEST_F(AutotuneCacheTest, ResolvedTileIsTheIsaDefault) {
+  const std::string path = tmp_cache_path("fresh");
   const AutotuneResult r = resolve_autotune(path, isa_, fast_opts());
-  bool found = false;
-  for (const TileShape t : kernel_candidates(r.isa))
-    found = found || (t.mr == r.mr && t.nr == r.nr);
-  EXPECT_TRUE(found) << "autotune picked mr=" << r.mr << " nr=" << r.nr
-                     << " which is not a compiled kernel for "
-                     << simd_isa_name(r.isa);
+  expect_isa_tiling(r, isa_);
+  const MicroKernel k = select_microkernel(r.isa);
+  EXPECT_EQ(k.mr, r.mr);
+  EXPECT_EQ(k.nr, r.nr);
+  std::remove(path.c_str());
+}
+
+// A cache written in the previous format (v1), whose sweep could pick any
+// compiled tile and tiling, carries 8x8 at KC 256 / NC 512 here. It must read
+// as stale, be re-probed and rewritten, and leave the ISA's one configuration
+// in place.
+TEST_F(AutotuneCacheTest, V1FormatCacheIsReprobedAndNeverChangesTheTile) {
+  const std::string path = tmp_cache_path("v1");
+  std::vector<std::string> lines{
+      "xgw-autotune-v1",
+      "key " + obs::fnv1a_hex(cpu_model_name() + "|" + compiler_id() + "|" +
+                              simd_isa_name(isa_) + "|v1"),
+      std::string("isa ") + simd_isa_name(isa_),
+      "mr 8",
+      "nr 8",
+      "mc 64",
+      "kc 256",
+      "nc 512",
+      "fma_peak_gflops 12.5",
+      "best_gflops 7.25"};
+  std::string body;
+  for (const std::string& l : lines) body += l + "\n";
+  spit(path, body + "checksum " + obs::fnv1a_hex(body) + "\n");
+
+  AutotuneResult got;
+  EXPECT_FALSE(load_autotune_cache(path, isa_, &got))
+      << "a cache of another format is stale, not damage";
+
+  const AutotuneResult r = resolve_autotune(path, isa_, fast_opts());
+  EXPECT_FALSE(r.from_cache);
+  expect_isa_tiling(r, isa_);
+
+  // The rewrite carries no tile lines, and reloading it keeps the tiling.
+  const std::string rewritten = slurp(path);
+  for (const char* field : {"\nmr ", "\nnr ", "\nmc ", "\nkc ", "\nnc "})
+    EXPECT_EQ(rewritten.find(field), std::string::npos) << field;
+  ASSERT_TRUE(load_autotune_cache(path, isa_, &got));
+  expect_isa_tiling(got, isa_);
   std::remove(path.c_str());
 }
 
 TEST_F(AutotuneCacheTest, DefaultsAreSaneForEveryIsa) {
-  for (const SimdIsa isa :
-       {SimdIsa::kScalar, SimdIsa::kAvx2, SimdIsa::kAvx512}) {
-    const AutotuneResult d = default_autotune(isa);
-    EXPECT_GT(d.mr, 0);
-    EXPECT_GT(d.nr, 0);
-    EXPECT_GT(d.mc, 0);
-    EXPECT_GT(d.kc, 0);
-    EXPECT_GT(d.nc, 0);
-    EXPECT_FALSE(d.swept);
-    bool found = false;
-    for (const TileShape t : kernel_candidates(isa))
-      found = found || (t.mr == d.mr && t.nr == d.nr);
-    EXPECT_TRUE(found);
+  // One micro-kernel per ISA, all at MC/KC/NC = 64/128/256: KC fixes the
+  // summation order of every engine product, so these numbers pin bits.
+  struct Want {
+    SimdIsa isa;
+    int mr, nr;
+  };
+#if defined(__x86_64__) && !defined(XGW_DISABLE_SIMD)
+  const Want wants[] = {{SimdIsa::kScalar, 4, 8},
+                        {SimdIsa::kAvx2, 2, 8},
+                        {SimdIsa::kAvx512, 4, 16}};
+#else
+  const Want wants[] = {{SimdIsa::kScalar, 4, 8},
+                        {SimdIsa::kAvx2, 4, 8},
+                        {SimdIsa::kAvx512, 4, 8}};
+#endif
+  for (const Want& w : wants) {
+    const AutotuneResult d = default_autotune(w.isa);
+    EXPECT_EQ(d.isa, w.isa);
+    EXPECT_EQ(d.mr, w.mr) << simd_isa_name(w.isa);
+    EXPECT_EQ(d.nr, w.nr) << simd_isa_name(w.isa);
+    EXPECT_EQ(d.mc, 64);
+    EXPECT_EQ(d.kc, 128);
+    EXPECT_EQ(d.nc, 256);
+    EXPECT_EQ(d.fma_peak_gflops, 0.0);
+    EXPECT_FALSE(d.from_cache);
+    const MicroKernel k = select_microkernel(w.isa);
+    EXPECT_EQ(k.mr, d.mr);
+    EXPECT_EQ(k.nr, d.nr);
+    EXPECT_NE(k.fn, nullptr);
   }
 }
 

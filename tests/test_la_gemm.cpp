@@ -18,8 +18,8 @@
 #endif
 
 #include "common/rng.h"
+#include "la/autotune.h"
 #include "la/gemm.h"
-#include "la/microkernel.h"
 #include "la/simd.h"
 
 namespace xgw {
@@ -335,15 +335,44 @@ TEST(GemmDispatch, NestedAutoAtShapeCrossoverMatchesReference) {
 }
 #endif
 
+/// The engine's one configuration for `isa`: its micro-kernel at the one
+/// cache tiling.
+GemmV3Config isa_config(la::SimdIsa isa) {
+  const la::AutotuneResult d = la::default_autotune(isa);
+  return {d.isa, d.mr, d.nr, d.mc, d.kc, d.nc};
+}
+
+// The parity suite's shapes: every ISA's kernel against kReference.
+constexpr idx kParityDims[] = {1, 7, 31, 33, 97, 128};
+const std::vector<Shape> kParityOpShapes = {Shape{31, 33, 97},
+                                            Shape{33, 97, 31}};
+constexpr Op kOps[] = {Op::kNone, Op::kTrans, Op::kConjTrans};
+
+TEST(GemmEngine, ActiveConfigIsTheIsaDefault) {
+  // Nothing but the ISA chooses the engine's kernel and tiling: no input
+  // key, environment variable or autotune cache content.
+  const GemmV3Config& a = gemm_v3_active_config();
+  const la::AutotuneResult d = la::default_autotune(la::detected_simd_isa());
+  EXPECT_EQ(a.isa, d.isa);
+  EXPECT_EQ(a.mr, d.mr);
+  EXPECT_EQ(a.nr, d.nr);
+  EXPECT_EQ(a.mc, d.mc);
+  EXPECT_EQ(a.kc, d.kc);
+  EXPECT_EQ(a.nc, d.nc);
+  const GemmTiling t = gemm_tiling();
+  EXPECT_EQ(t.mc, d.mc);
+  EXPECT_EQ(t.kc, d.kc);
+  EXPECT_EQ(t.nc, d.nc);
+}
+
 TEST(SimdMicroKernels, ParitySweepPrimeAndRemainderShapesAllReachableIsas) {
-  // Satellite: every compiled micro-kernel on every ISA path reachable on
-  // THIS host must match kReference across prime/remainder shapes.
-  const idx dims[] = {1, 7, 31, 33, 97, 128};
+  // Each ISA's micro-kernel reachable on THIS host must match kReference
+  // across prime/remainder shapes.
   const cplx alpha{1.1, -0.3}, beta{0.4, 0.2};
 
-  for (const idx m : dims) {
-    for (const idx n : dims) {
-      for (const idx k : dims) {
+  for (const idx m : kParityDims) {
+    for (const idx n : kParityDims) {
+      for (const idx k : kParityDims) {
         Rng rng(101 + static_cast<std::uint64_t>(m * 10000 + n * 100 + k));
         const ZMatrix a = random_matrix(m, k, rng);
         const ZMatrix b = random_matrix(k, n, rng);
@@ -354,16 +383,13 @@ TEST(SimdMicroKernels, ParitySweepPrimeAndRemainderShapesAllReachableIsas) {
         const double tol = 1e-11 * static_cast<double>(k + 1);
 
         for (const la::SimdIsa isa : reachable_isas()) {
-          for (const la::TileShape tile : la::kernel_candidates(isa)) {
-            const GemmV3Config cfg{isa, tile.mr, tile.nr, 64, 128, 256};
-            ZMatrix c = cinit;
-            zgemm_v3_explicit(cfg, Op::kNone, Op::kNone, alpha, a, b, beta,
-                              c, /*parallel=*/false);
-            EXPECT_LT(max_abs_diff(cref, c), tol)
-                << "isa=" << la::simd_isa_name(isa) << " mr=" << tile.mr
-                << " nr=" << tile.nr << " shape " << m << "x" << n << "x"
-                << k;
-          }
+          const GemmV3Config cfg = isa_config(isa);
+          ZMatrix c = cinit;
+          zgemm_v3_explicit(cfg, Op::kNone, Op::kNone, alpha, a, b, beta, c,
+                            /*parallel=*/false);
+          EXPECT_LT(max_abs_diff(cref, c), tol)
+              << "isa=" << la::simd_isa_name(isa) << " shape " << m << "x"
+              << n << "x" << k;
         }
       }
     }
@@ -373,12 +399,11 @@ TEST(SimdMicroKernels, ParitySweepPrimeAndRemainderShapesAllReachableIsas) {
 TEST(SimdMicroKernels, ParityAllOpsAndOddCacheTilesOnRemainderShapes) {
   // All nine op combinations plus deliberately awkward KC/NC (remainder in
   // every cache loop) on a couple of prime shapes, per reachable ISA.
-  const std::vector<Shape> shapes = {Shape{31, 33, 97}, Shape{33, 97, 31}};
   const cplx alpha{0.8, 0.5}, beta{-0.2, 0.9};
 
-  for (const auto& [m, n, k] : shapes) {
-    for (Op opa : {Op::kNone, Op::kTrans, Op::kConjTrans}) {
-      for (Op opb : {Op::kNone, Op::kTrans, Op::kConjTrans}) {
+  for (const auto& [m, n, k] : kParityOpShapes) {
+    for (Op opa : kOps) {
+      for (Op opb : kOps) {
         Rng rng(211 + static_cast<std::uint64_t>(m + n + k) +
                 static_cast<std::uint64_t>(opa) * 7 +
                 static_cast<std::uint64_t>(opb) * 3);
@@ -392,20 +417,61 @@ TEST(SimdMicroKernels, ParityAllOpsAndOddCacheTilesOnRemainderShapes) {
         const double tol = 1e-11 * static_cast<double>(k + 1);
 
         for (const la::SimdIsa isa : reachable_isas()) {
-          for (const la::TileShape tile : la::kernel_candidates(isa)) {
-            const GemmV3Config cfg{isa, tile.mr, tile.nr, 32, 48, 80};
-            ZMatrix c = cinit;
-            zgemm_v3_explicit(cfg, opa, opb, alpha, a, b, beta, c,
-                              /*parallel=*/false);
-            EXPECT_LT(max_abs_diff(cref, c), tol)
-                << "isa=" << la::simd_isa_name(isa) << " mr=" << tile.mr
-                << " nr=" << tile.nr << " opa=" << static_cast<int>(opa)
-                << " opb=" << static_cast<int>(opb);
-          }
+          GemmV3Config cfg = isa_config(isa);
+          cfg.mc = 32;
+          cfg.kc = 48;
+          cfg.nc = 80;
+          ZMatrix c = cinit;
+          zgemm_v3_explicit(cfg, opa, opb, alpha, a, b, beta, c,
+                            /*parallel=*/false);
+          EXPECT_LT(max_abs_diff(cref, c), tol)
+              << "isa=" << la::simd_isa_name(isa)
+              << " opa=" << static_cast<int>(opa)
+              << " opb=" << static_cast<int>(opb);
         }
       }
     }
   }
+}
+
+// AVX2 (2x8) and AVX-512 (4x16) run the same fmadd/fnmadd sequence per C
+// element, and the engine around them does not depend on the tile, so at the
+// one cache tiling the two engines agree bit for bit.
+TEST(SimdMicroKernels, Avx2AndAvx512AreBitwiseEqualAtTheOneTiling) {
+  if (la::detected_simd_isa() < la::SimdIsa::kAvx512)
+    GTEST_SKIP() << "AVX-512 is not reachable on this host";
+  const GemmV3Config avx2 = isa_config(la::SimdIsa::kAvx2);
+  const GemmV3Config avx512 = isa_config(la::SimdIsa::kAvx512);
+  const cplx alpha{1.1, -0.3}, beta{0.4, 0.2};
+
+  auto check = [&](Op opa, Op opb, idx m, idx n, idx k) {
+    Rng rng(401 + static_cast<std::uint64_t>(m * 10000 + n * 100 + k) +
+            static_cast<std::uint64_t>(opa) * 7 +
+            static_cast<std::uint64_t>(opb) * 3);
+    const ZMatrix a = (opa == Op::kNone) ? random_matrix(m, k, rng)
+                                         : random_matrix(k, m, rng);
+    const ZMatrix b = (opb == Op::kNone) ? random_matrix(k, n, rng)
+                                         : random_matrix(n, k, rng);
+    ZMatrix c2 = random_matrix(m, n, rng);
+    ZMatrix c5 = c2;
+    zgemm_v3_explicit(avx2, opa, opb, alpha, a, b, beta, c2,
+                      /*parallel=*/false);
+    zgemm_v3_explicit(avx512, opa, opb, alpha, a, b, beta, c5,
+                      /*parallel=*/false);
+    EXPECT_EQ(std::memcmp(c2.data(), c5.data(),
+                          sizeof(cplx) * static_cast<std::size_t>(c2.size())),
+              0)
+        << "opa=" << static_cast<int>(opa) << " opb=" << static_cast<int>(opb)
+        << " shape " << m << "x" << n << "x" << k;
+  };
+  for (const idx m : kParityDims)
+    for (const idx n : kParityDims)
+      for (const idx k : kParityDims) check(Op::kNone, Op::kNone, m, n, k);
+  for (const auto& [m, n, k] : kParityOpShapes)
+    for (Op opa : kOps)
+      for (Op opb : kOps) check(opa, opb, m, n, k);
+  // Past one KC and one NC block, so the k-blocks are summed in C.
+  check(Op::kNone, Op::kNone, 65, 300, 300);
 }
 
 TEST(ZgemmBatch, MatchesPerCallReferenceWithHeterogeneousRowCounts) {
